@@ -32,12 +32,12 @@
    "corpus" section runs the pinned benchmark corpus (smoke+standard in
    quick mode, everything otherwise), gates it against
    corpus/manifest.json and records one per-instance timing; the
-   "events" section measures the event-stream emission overhead the
-   same way the telemetry section does and records the quality-vs-time
-   convergence curve of the instrumented search. With "--trace FILE"
-   the whole harness runs with telemetry enabled and writes a Chrome
-   trace-event JSON file at the end; with "--events FILE" it runs with
-   the live event stream enabled and writes NDJSON there; with
+   "events" section measures the same switch with a progress sink
+   attached and records the quality-vs-time convergence curve of the
+   instrumented search. With "--trace FILE" the whole harness runs with
+   telemetry enabled and writes a Chrome trace-event JSON file at the
+   end; with "--events FILE" it runs with telemetry enabled and writes
+   the progress stream there as NDJSON; with
    "--trajectory FILE" the corpus section appends one cross-commit
    trajectory entry per instance (commit id from --commit, else
    FTES_COMMIT/GITHUB_SHA, else "unknown").
@@ -47,7 +47,6 @@ module E = Ftes_core.Experiments
 module Chart = Ftes_util.Chart
 module Par = Ftes_util.Par
 module Telemetry = Ftes_util.Telemetry
-module Events = Ftes_util.Events
 
 let quick = Array.exists (fun a -> a = "--quick") Sys.argv
 
@@ -110,24 +109,23 @@ let timed_phase name f =
 (* Live event stream (--events FILE)                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* With --events the whole harness runs with the event stream enabled,
-   writing NDJSON to FILE. The events-overhead section below suspends
-   the file sink (and toggles the stream) while it measures, so the
-   recorded overhead covers emission plus an in-process sink, never
-   disk I/O. *)
+(* With --events the whole harness runs with telemetry enabled and an
+   NDJSON sink writing the progress stream to FILE. The events-overhead
+   section below suspends the file sink (and toggles the switch) while
+   it measures, so the recorded overhead covers recording plus an
+   in-process sink, never disk I/O. *)
 let events_oc = Option.map open_out events_path
 let events_sink_id : int option ref = ref None
 
 let suspend_event_stream () =
-  Option.iter Events.remove_sink !events_sink_id;
+  Option.iter Telemetry.remove_sink !events_sink_id;
   events_sink_id := None
 
 let resume_event_stream () =
-  match events_oc with
-  | None -> ()
-  | Some oc ->
-      if not (Events.enabled ()) then Events.enable ();
-      events_sink_id := Some (Events.add_sink (Events.ndjson_sink oc))
+  events_sink_id :=
+    Option.map
+      (fun oc -> Telemetry.add_sink (Telemetry.ndjson_sink oc))
+      events_oc
 
 let section title =
   Printf.printf "\n============================================================\n";
@@ -609,21 +607,21 @@ let run_events_bench () =
      I/O (the --events file sink is suspended for the duration). *)
   let incumbents = ref [] in
   let events_seen = ref 0 in
-  let capture (e : Events.event) =
+  let capture (e : Telemetry.progress) =
     incr events_seen;
-    match e.Events.payload with
-    | Events.Incumbent { source; cost; evals; wall_s } ->
+    match e.Telemetry.payload with
+    | Telemetry.Incumbent { source; cost; evals; wall_s } ->
         incumbents := (source, cost, evals, wall_s) :: !incumbents
     | _ -> ()
   in
   suspend_event_stream ();
-  let stream_was_on = Events.enabled () in
+  let was_enabled = Telemetry.enabled () in
   let sample () =
     let t0 = Unix.gettimeofday () in
     let o = run_once () in
     (o, Unix.gettimeofday () -. t0)
   in
-  Events.disable ();
+  Telemetry.disable ();
   ignore (run_once ());
   (* Paired off/on samples; the ratio of per-side minima is taken
      below, which is robust to one-sided scheduler noise. *)
@@ -631,20 +629,21 @@ let run_events_bench () =
   let dropped = ref 0 in
   let pairs =
     List.init reps (fun _ ->
-        Events.disable ();
+        Telemetry.disable ();
         let off = sample () in
         incumbents := [];
         events_seen := 0;
-        Events.enable ();
-        let sink = Events.add_sink capture in
+        let dropped_before = Telemetry.dropped () in
+        Telemetry.enable ();
+        let sink = Telemetry.add_sink capture in
         let on = sample () in
-        Events.drain ();
-        dropped := Events.dropped ();
-        Events.remove_sink sink;
+        Telemetry.drain ();
+        dropped := !dropped + Telemetry.dropped () - dropped_before;
+        Telemetry.remove_sink sink;
         (off, on))
   in
-  Events.disable ();
-  if stream_was_on then resume_event_stream ();
+  if not was_enabled then Telemetry.disable ();
+  resume_event_stream ();
   (* Scheduler noise only ever adds time, so the minimum over reps is
      the most stable estimate of each side's true cost — medians of
      paired ratios swing +/-10% on a loaded single-core runner, which
@@ -1073,7 +1072,7 @@ let () =
      Embedded Systems' (DATE 2008)\n";
   Printf.printf "mode: %s, jobs: %d\n" (if quick then "quick" else "full")
     jobs;
-  if trace_path <> None then Telemetry.enable ();
+  if trace_path <> None || events_path <> None then Telemetry.enable ();
   Option.iter
     (fun path -> Emit.configure_trajectory ~path ~commit:commit_arg)
     trajectory_arg;
@@ -1099,11 +1098,10 @@ let () =
   | None -> ());
   (match (events_oc, events_path) with
   | Some oc, Some file ->
-      Events.drain ();
-      let d = Events.dropped () in
+      Telemetry.drain ();
+      let d = Telemetry.dropped () in
       if d > 0 then
-        Printf.printf "event stream: %d event(s) dropped (ring full)\n" d;
-      Events.disable ();
+        Printf.printf "telemetry: %d record(s) dropped (ring full)\n" d;
       close_out oc;
       Printf.printf "wrote %s\n" file
   | _ -> ());

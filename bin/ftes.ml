@@ -4,7 +4,34 @@
 
 open Cmdliner
 
-let read_doc path = Ftes_dsl.Dsl.load path
+(* Exit codes beyond cmdliner's defaults; documented on the commands
+   that can return them (see [input_exits] and [synthesize_exits]). *)
+let exit_violations = 1
+let exit_bad_input = 3
+let exit_no_tables = 4
+
+let over_expansion_budget = "the FT-CPG exceeds the expansion budget"
+let over_track_budget = "conditional scheduling exceeds the track budget"
+
+let input_exits =
+  Cmd.Exit.info exit_bad_input
+    ~doc:"on a malformed instance file (reported as $(i,FILE):$(i,LINE): \
+          $(i,message))."
+  :: Cmd.Exit.defaults
+
+(* The single entry point for instance files: a malformed file is a
+   user error, reported with its location, never an uncaught
+   exception. *)
+let read_doc path =
+  match Ftes_dsl.Dsl.load path with
+  | doc -> doc
+  | exception Ftes_dsl.Dsl.Parse_error { line; message } ->
+      if line > 0 then Format.eprintf "%s:%d: %s@." path line message
+      else Format.eprintf "%s: %s@." path message;
+      exit exit_bad_input
+  | exception Sys_error message ->
+      Format.eprintf "%s@." message;
+      exit exit_bad_input
 
 (* ------------------------------------------------------------------ *)
 (* generate                                                            *)
@@ -72,7 +99,8 @@ let info_cmd =
     Format.printf "%a@." Ftes_arch.Wcet.pp doc.Ftes_dsl.Dsl.wcet
   in
   Cmd.v
-    (Cmd.info "info" ~doc:"Print a parsed synthesis instance.")
+    (Cmd.info "info" ~exits:input_exits
+       ~doc:"Print a parsed synthesis instance.")
     Term.(const run $ file)
 
 (* ------------------------------------------------------------------ *)
@@ -98,34 +126,30 @@ let strategy_conv =
 let synthesize path strategy portfolio deadline fto checkpointing no_tables
     matrix validate explain json symbolic jobs no_cache stats trace metrics
     progress events metrics_json prometheus =
-  if trace <> None || metrics || metrics_json <> None || prometheus <> None
-  then Ftes_util.Telemetry.enable ();
   let events_oc = Option.map open_out events in
-  let event_sinks = ref [] in
-  if progress || events_oc <> None then begin
-    Ftes_util.Events.enable ();
-    (match events_oc with
-    | Some oc ->
-        event_sinks :=
-          Ftes_util.Events.add_sink (Ftes_util.Events.ndjson_sink oc)
-          :: !event_sinks
-    | None -> ());
-    if progress then
-      event_sinks :=
-        Ftes_util.Events.add_sink (Ftes_util.Events.progress_sink stderr)
-        :: !event_sinks
-  end;
+  if trace <> None || metrics || metrics_json <> None || prometheus <> None
+     || progress || events_oc <> None
+  then Ftes_util.Telemetry.enable ();
+  let sinks =
+    List.filter_map Fun.id
+      [
+        Option.map Ftes_util.Telemetry.ndjson_sink events_oc;
+        (if progress then Some (Ftes_util.Telemetry.progress_sink stderr)
+         else None);
+      ]
+    |> List.map Ftes_util.Telemetry.add_sink
+  in
   (* Emitted on every exit path, including validation failure. *)
   let finish_telemetry () =
-    if Ftes_util.Events.enabled () then begin
-      Ftes_util.Events.drain ();
-      let dropped = Ftes_util.Events.dropped () in
+    if Ftes_util.Telemetry.enabled () then begin
+      Ftes_util.Telemetry.drain ();
+      let dropped = Ftes_util.Telemetry.dropped () in
       if dropped > 0 then
-        Format.eprintf "events: %d event(s) dropped (ring buffer full)@."
+        Format.eprintf "telemetry: %d record(s) dropped (ring buffer full)@."
           dropped;
-      Ftes_util.Events.disable ()
+      Ftes_util.Telemetry.disable ()
     end;
-    List.iter Ftes_util.Events.remove_sink !event_sinks;
+    List.iter Ftes_util.Telemetry.remove_sink sinks;
     (match (events_oc, events) with
     | Some oc, Some file ->
         close_out oc;
@@ -232,6 +256,19 @@ let synthesize path strategy portfolio deadline fto checkpointing no_tables
       Format.printf "@.-- evaluation cache --@.  disabled (--no-cache)@."
   | false, _ -> ());
   if validate || explain || json || symbolic then begin
+    (* Validation replays the schedule tables; without them there is
+       nothing to check, which must not read as a pass. *)
+    if result.Ftes_core.Synthesis.table = None then begin
+      Format.printf "@.fault-injection validation: NOT RUN (no schedule \
+                     tables: %s)@."
+        (if no_tables then "--no-tables skips conditional scheduling"
+         else
+           match result.Ftes_core.Synthesis.ftcpg with
+           | None -> over_expansion_budget
+           | Some _ -> over_track_budget);
+      finish_telemetry ();
+      exit exit_no_tables
+    end;
     let mode = if symbolic then `Symbolic else `Explicit in
     let violations = Ftes_core.Synthesis.validate ?jobs ~mode result in
     if json then
@@ -250,10 +287,19 @@ let synthesize path strategy portfolio deadline fto checkpointing no_tables
               Ftes_sim.Diagnose.pp_report report
         | None -> ());
       finish_telemetry ();
-      exit 1
+      exit exit_violations
     end
   end;
   finish_telemetry ()
+
+let synthesize_exits =
+  Cmd.Exit.info exit_violations
+    ~doc:"when fault-injection validation finds violations."
+  :: Cmd.Exit.info exit_no_tables
+       ~doc:"when validation is requested but no schedule tables were \
+             produced (--no-tables, an FT-CPG over the expansion budget, \
+             or conditional scheduling over the track budget)."
+  :: input_exits
 
 let synthesize_cmd =
   let file =
@@ -377,7 +423,7 @@ let synthesize_cmd =
                      exposition format.")
   in
   Cmd.v
-    (Cmd.info "synthesize"
+    (Cmd.info "synthesize" ~exits:synthesize_exits
        ~doc:"Synthesize a fault-tolerant configuration and its tables.")
     Term.(const synthesize $ file $ strategy $ portfolio $ deadline $ fto
           $ checkpointing $ no_tables $ matrix $ validate $ explain $ json
@@ -391,9 +437,18 @@ let synthesize_cmd =
 let simulate path faults trace jobs =
   let doc = read_doc path in
   let problem = Ftes_dsl.Dsl.to_problem doc in
-  let ftcpg = Ftes_ftcpg.Ftcpg.build problem in
+  let no_tables reason =
+    Format.eprintf "%s: no schedule tables: %s@." path reason;
+    exit exit_no_tables
+  in
+  let ftcpg =
+    try Ftes_ftcpg.Ftcpg.build problem
+    with Ftes_ftcpg.Ftcpg.Too_large _ -> no_tables over_expansion_budget
+  in
   let table =
-    Ftes_sched.Conditional.schedule ?jobs ftcpg
+    try Ftes_sched.Conditional.schedule ?jobs ftcpg
+    with Ftes_sched.Conditional.Too_many_tracks _ ->
+      no_tables over_track_budget
   in
   (* Count and filter over the packed scenario arena; only the selected
      scenarios are unpacked to guards for replay. *)
@@ -458,6 +513,11 @@ let simulate_cmd =
   in
   Cmd.v
     (Cmd.info "simulate"
+       ~exits:
+         (Cmd.Exit.info exit_no_tables
+            ~doc:"when the FT-CPG or its conditional schedule exceeds its \
+                  budget, so there are no tables to simulate."
+         :: input_exits)
        ~doc:"Execute the synthesized tables under injected faults.")
     Term.(const simulate $ file $ faults $ trace $ jobs)
 

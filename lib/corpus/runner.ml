@@ -13,7 +13,6 @@ module Softsched = Ftes_soft.Softsched
 module Rng = Ftes_util.Rng
 module Par = Ftes_util.Par
 module Telemetry = Ftes_util.Telemetry
-module Events = Ftes_util.Events
 
 let c_instances = Telemetry.counter "corpus.instances"
 let c_failures = Telemetry.counter "corpus.failures"
@@ -273,9 +272,9 @@ let run ?jobs ?on_outcome instances =
       List.iter
         (fun o ->
           incr done_count;
-          if Events.enabled () then
-            Events.emit
-              (Events.Corpus_outcome
+          if Telemetry.enabled () then
+            Telemetry.emit
+              (Telemetry.Corpus_outcome
                  {
                    id = o.instance.I.id;
                    ok = o.ok;
@@ -286,7 +285,7 @@ let run ?jobs ?on_outcome instances =
           | Some f -> f ~done_count:!done_count ~total o
           | None -> ())
         outcomes;
-      if Events.enabled () then Events.drain ();
+      if Telemetry.enabled () then Telemetry.drain ();
       go (pos + len) (outcomes :: acc)
     end
   in

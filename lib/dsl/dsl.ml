@@ -48,7 +48,7 @@ type parse_state = {
   mutable bus : Bus.t option;
   mutable procs : proc_decl list;  (* reversed *)
   mutable msgs : msg_decl list;  (* reversed *)
-  mutable wcets : (string * string list) list;  (* reversed *)
+  mutable wcets : (int * string * string list) list;  (* reversed *)
 }
 
 let tokenize line =
@@ -63,8 +63,8 @@ let tokenize line =
 
 let float_of ln s =
   match float_of_string_opt s with
-  | Some f -> f
-  | None -> fail ln "expected a number, got %S" s
+  | Some f when Float.is_finite f -> f
+  | Some _ | None -> fail ln "expected a finite number, got %S" s
 
 let int_of ln s =
   match int_of_string_opt s with
@@ -164,7 +164,7 @@ let parse_bus ln toks =
       `Single (!bandwidth, !setup)
   | _ -> fail ln "bus: expected 'bus tdma ...' or 'bus single ...'"
 
-let of_string text =
+let parse text =
   let st =
     {
       k = None;
@@ -183,14 +183,18 @@ let of_string text =
       let ln = i + 1 in
       match tokenize line with
       | [] -> ()
-      | "k" :: [ v ] -> st.k <- Some (int_of ln v)
+      | "k" :: [ v ] ->
+          let k = int_of ln v in
+          if k < 0 then fail ln "k must be non-negative (got %d)" k;
+          st.k <- Some k
       | "deadline" :: [ v ] -> st.deadline <- Some (float_of ln v)
       | "period" :: [ v ] -> st.period <- Some (float_of ln v)
       | "nodes" :: [ v ] -> st.nodes <- Some (int_of ln v)
       | "bus" :: rest -> bus_spec := Some (parse_bus ln rest)
       | "process" :: rest -> st.procs <- parse_process ln rest :: st.procs
       | "message" :: rest -> st.msgs <- parse_message ln rest :: st.msgs
-      | "wcet" :: name :: entries -> st.wcets <- (name, entries) :: st.wcets
+      | "wcet" :: name :: entries ->
+          st.wcets <- (ln, name, entries) :: st.wcets
       | tok :: _ -> fail ln "unknown directive %S" tok)
     (String.split_on_char '\n' text);
   let nodes =
@@ -224,10 +228,10 @@ let of_string text =
       in
       Hashtbl.add pid_of_name d.p_name pid)
     procs;
-  let lookup name =
+  let lookup ?(ln = 0) name =
     match Hashtbl.find_opt pid_of_name name with
     | Some pid -> pid
-    | None -> fail 0 "unknown process %S" name
+    | None -> fail ln "unknown process %S" name
   in
   let frozen = ref [] in
   List.iter
@@ -246,15 +250,20 @@ let of_string text =
   let graph = Graph.Builder.build b in
   let wcet = Wcet.create ~procs:(List.length procs) ~nodes in
   List.iter
-    (fun (name, entries) ->
-      let pid = lookup name in
+    (fun (ln, name, entries) ->
+      let pid = lookup ~ln name in
       if List.length entries <> nodes then
-        fail 0 "wcet %s: expected %d entries, got %d" name nodes
+        fail ln "wcet %s: expected %d entries, got %d" name nodes
           (List.length entries);
       List.iteri
         (fun nid entry ->
-          if entry <> "X" && entry <> "x" then
-            Wcet.set wcet ~pid ~nid (float_of 0 entry))
+          if entry <> "X" && entry <> "x" then begin
+            let c = float_of ln entry in
+            if c < 0. then
+              fail ln "wcet %s: expected a non-negative time, got %S" name
+                entry;
+            Wcet.set wcet ~pid ~nid c
+          end)
         entries)
     (List.rev st.wcets);
   (try Wcet.validate wcet
@@ -272,6 +281,13 @@ let of_string text =
       ~graph ~deadline ~period ()
   in
   { app; arch; wcet; k = Option.value st.k ~default:1 }
+
+(* The model constructors check cross-field constraints (deadline
+   within period, positive sizes, ...); what they reject is an error of
+   the document as a whole. *)
+let of_string text =
+  try parse text
+  with Invalid_argument message -> raise (Parse_error { line = 0; message })
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

@@ -3,7 +3,6 @@ module Policy = Ftes_app.Policy
 module Fttime = Ftes_app.Fttime
 module Graph = Ftes_app.Graph
 module Telemetry = Ftes_util.Telemetry
-module Events = Ftes_util.Events
 
 let c_passes = Telemetry.counter "checkpoint.passes"
 let c_accepted = Telemetry.counter "checkpoint.accepted"
@@ -63,8 +62,8 @@ let global_optimize ?cache ?(max_checkpoints = 100) ?(max_passes = 32) problem =
   in
   let best = ref problem in
   let best_len = ref (objective problem) in
-  let ev_on = Events.enabled () in
-  let ev_t0 = Events.now () in
+  let ev_on = Telemetry.enabled () in
+  let ev_t0 = Telemetry.now () in
   let ev_evals = ref 0 in
   let try_move pid copy delta =
     let p = (!best).Problem.policies.(pid) in
@@ -84,13 +83,13 @@ let global_optimize ?cache ?(max_checkpoints = 100) ?(max_passes = 32) problem =
           best_len := len;
           Telemetry.incr c_accepted;
           if ev_on then
-            Events.emit
-              (Events.Incumbent
+            Telemetry.emit
+              (Telemetry.Incumbent
                  {
                    source = "checkpoint";
                    cost = len;
                    evals = !ev_evals;
-                   wall_s = Events.now () -. ev_t0;
+                   wall_s = Telemetry.now () -. ev_t0;
                  });
           true
         end
@@ -116,7 +115,7 @@ let global_optimize ?cache ?(max_checkpoints = 100) ?(max_passes = 32) problem =
           if try_move pid copy 1 then improved := true
         done
       done;
-      if ev_on then Events.drain ();
+      if ev_on then Telemetry.drain ();
       if !improved then pass (i + 1) else !best
     end
   in

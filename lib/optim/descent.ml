@@ -3,7 +3,6 @@ module Mapping = Ftes_ftcpg.Mapping
 module Graph = Ftes_app.Graph
 module Wcet = Ftes_arch.Wcet
 module Telemetry = Ftes_util.Telemetry
-module Events = Ftes_util.Events
 
 let c_rounds = Telemetry.counter "descent.rounds"
 
@@ -19,8 +18,8 @@ let policy_sweep ?cache ?(kinds = [ Tabu.Reexec; Tabu.Repl; Tabu.Combined ])
   let max_rounds = match max_rounds with Some r -> r | None -> nprocs in
   let k = problem.Problem.k in
   let wcet = problem.Problem.wcet in
-  let ev_on = Events.enabled () in
-  let ev_t0 = Events.now () in
+  let ev_on = Telemetry.enabled () in
+  let ev_t0 = Telemetry.now () in
   let ev_evals = ref 0 in
   let objective p =
     if ev_on then incr ev_evals;
@@ -70,15 +69,15 @@ let policy_sweep ?cache ?(kinds = [ Tabu.Reexec; Tabu.Repl; Tabu.Combined ])
       | None -> best
       | Some (cand, len) ->
           if ev_on then begin
-            Events.emit
-              (Events.Incumbent
+            Telemetry.emit
+              (Telemetry.Incumbent
                  {
                    source = "descent.policy";
                    cost = len;
                    evals = !ev_evals;
-                   wall_s = Events.now () -. ev_t0;
+                   wall_s = Telemetry.now () -. ev_t0;
                  });
-            Events.drain ()
+            Telemetry.drain ()
           end;
           round (i + 1) cand len
     end
@@ -91,8 +90,8 @@ let remap_sweep ?cache ?max_rounds problem =
   let nprocs = Graph.process_count g in
   let max_rounds = match max_rounds with Some r -> r | None -> nprocs in
   let wcet = problem.Problem.wcet in
-  let ev_on = Events.enabled () in
-  let ev_t0 = Events.now () in
+  let ev_on = Telemetry.enabled () in
+  let ev_t0 = Telemetry.now () in
   let ev_evals = ref 0 in
   let objective p =
     if ev_on then incr ev_evals;
@@ -134,15 +133,15 @@ let remap_sweep ?cache ?max_rounds problem =
       | None -> best
       | Some (cand, len) ->
           if ev_on then begin
-            Events.emit
-              (Events.Incumbent
+            Telemetry.emit
+              (Telemetry.Incumbent
                  {
                    source = "descent.remap";
                    cost = len;
                    evals = !ev_evals;
-                   wall_s = Events.now () -. ev_t0;
+                   wall_s = Telemetry.now () -. ev_t0;
                  });
-            Events.drain ()
+            Telemetry.drain ()
           end;
           round (i + 1) cand len
     end

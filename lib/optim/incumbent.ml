@@ -1,7 +1,7 @@
 (* Monotone best-so-far broadcast cell for the strategy portfolio. See
    incumbent.mli for the contract. *)
 
-module Events = Ftes_util.Events
+module Telemetry = Ftes_util.Telemetry
 
 type entry = { cost : float; member : string; wall_s : float }
 
@@ -54,16 +54,16 @@ let publish t ~member cost =
       t.history <- entry :: t.history
     end;
     Mutex.unlock t.lock;
-    if won && Events.enabled () then begin
-      Events.emit
-        (Events.Incumbent
+    if won && Telemetry.enabled () then begin
+      Telemetry.emit
+        (Telemetry.Incumbent
            {
              source = "portfolio:" ^ member;
              cost;
              evals = 0;
-             wall_s = Events.now ();
+             wall_s = Telemetry.now ();
            });
-      Events.drain ()
+      Telemetry.drain ()
     end;
     won
   end

@@ -35,7 +35,7 @@ val publish : t -> member:string -> float -> bool
 (** [publish t ~member cost] installs [cost] iff it beats the stored
     cost by more than [1e-9]; returns whether it won. Winning publishes
     append to the curve and, when events are enabled, emit an
-    [Events.Incumbent] with source ["portfolio:<member>"] (and drain,
+    [Telemetry.Incumbent] with source ["portfolio:<member>"] (and drain,
     when called outside the pool). Safe from any domain. *)
 
 val publish_handle : handle -> float -> bool

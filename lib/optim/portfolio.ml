@@ -4,7 +4,6 @@
 module Problem = Ftes_ftcpg.Problem
 module Slack = Ftes_sched.Slack
 module Par = Ftes_util.Par
-module Events = Ftes_util.Events
 module Telemetry = Ftes_util.Telemetry
 
 type engine =
@@ -82,11 +81,10 @@ let initial_problem (i : Strategy.inputs) =
   Problem.make ~app:i.app ~arch:i.arch ~wcet:i.wcet ~k:i.k ~policies ~mapping
 
 let run ?(opts = default_options) ?members (i : Strategy.inputs) =
-  Telemetry.with_span ~cat:"optim"
+  Telemetry.with_phase ~cat:"optim"
     ~args:[ ("jobs", Telemetry.Int opts.jobs) ]
     "portfolio"
   @@ fun () ->
-  Events.with_phase "portfolio" @@ fun () ->
   let members =
     match members with
     | Some (_ :: _ as ms) -> ms
@@ -127,9 +125,9 @@ let run ?(opts = default_options) ?members (i : Strategy.inputs) =
   in
   let run_member m =
     let mt0 = Unix.gettimeofday () in
-    if Events.enabled () then begin
-      Events.emit (Events.Worker_start { member = m.label });
-      Events.drain ()
+    if Telemetry.enabled () then begin
+      Telemetry.emit (Telemetry.Worker_start { member = m.label });
+      Telemetry.drain ()
     end;
     let topts =
       {
@@ -170,14 +168,16 @@ let run ?(opts = default_options) ?members (i : Strategy.inputs) =
     in
     ignore (Incumbent.publish inc ~member:m.label length);
     let wall_s = Unix.gettimeofday () -. mt0 in
-    if Events.enabled () then
-      Events.emit
-        (Events.Worker_finish { member = m.label; cost = length; wall_s });
+    if Telemetry.enabled () then
+      Telemetry.emit
+        (Telemetry.Worker_finish { member = m.label; cost = length; wall_s });
     { member = m; length; wall_s; problem }
   in
   (* The caller polls (delivering events live) instead of racing: with
      jobs workers the portfolio-level parallelism is exactly [jobs]. *)
-  let outcomes = Par.map_live ~jobs:opts.jobs ~poll:Events.drain run_member members in
+  let outcomes =
+    Par.map_live ~jobs:opts.jobs ~poll:Telemetry.drain run_member members
+  in
   let winner =
     match outcomes with
     | [] -> invalid_arg "Portfolio.run: no members"

@@ -5,7 +5,6 @@ module Graph = Ftes_app.Graph
 module Wcet = Ftes_arch.Wcet
 module Rng = Ftes_util.Rng
 module Telemetry = Ftes_util.Telemetry
-module Events = Ftes_util.Events
 
 (* Search-trajectory telemetry. Counters are process-wide; the per-run
    story lives in the [tabu.optimize] / [tabu.iter] spans. Recording is
@@ -215,14 +214,14 @@ let optimize_body opts problem =
   publish !best_len;
   let current = ref problem in
   let stall = ref 0 in
-  let ev_on = Events.enabled () in
-  let ev_t0 = Events.now () in
+  let ev_on = Telemetry.enabled () in
+  let ev_t0 = Telemetry.now () in
   let ev_evals = ref 0 in
   if ev_on then begin
-    Events.emit
-      (Events.Incumbent
+    Telemetry.emit
+      (Telemetry.Incumbent
          { source = "tabu"; cost = !best_len; evals = 0; wall_s = 0. });
-    Events.drain ()
+    Telemetry.drain ()
   end;
   let step iter =
     Telemetry.incr c_iterations;
@@ -290,13 +289,13 @@ let optimize_body opts problem =
           Telemetry.incr c_improved;
           Telemetry.set_gauge "tabu.best_len" len;
           if ev_on then
-            Events.emit
-              (Events.Incumbent
+            Telemetry.emit
+              (Telemetry.Incumbent
                  {
                    source = "tabu";
                    cost = len;
                    evals = !ev_evals;
-                   wall_s = Events.now () -. ev_t0;
+                   wall_s = Telemetry.now () -. ev_t0;
                  })
         end
         else incr stall;
@@ -314,7 +313,7 @@ let optimize_body opts problem =
             "tabu.iter"
             (fun () -> step iter)
         else step iter);
-       if ev_on then Events.drain ()
+       if ev_on then Telemetry.drain ()
      done
    with Exit -> ());
   (!best, !best_len)

@@ -8,7 +8,6 @@ module App = Ftes_app.App
 module Arch = Ftes_arch.Arch
 module Bus = Ftes_arch.Bus
 module Telemetry = Ftes_util.Telemetry
-module Events = Ftes_util.Events
 
 let c_scenarios = Telemetry.counter "sim.scenarios"
 let c_violations = Telemetry.counter "sim.violations"
@@ -358,7 +357,7 @@ let replay_range = Compiled.replay_range
    keeps the violation list byte-identical for every [jobs] value. *)
 let replay_space ?jobs c sp =
   let total = Condvec.count sp in
-  if not (Events.enabled ()) then
+  if not (Telemetry.enabled ()) then
     List.concat (Ftes_util.Par.map_ranges ?jobs total (replay_range c sp))
   else begin
     (* Progress events ride on a shared cumulative counter: each range
@@ -371,12 +370,13 @@ let replay_space ?jobs c sp =
       let vs = replay_range c sp lo hi in
       let n = hi - lo in
       let cleared = Atomic.fetch_and_add done_ n + n in
-      Events.emit
-        (Events.Validation_progress { backend = "explicit"; cleared; total });
+      Telemetry.emit
+        (Telemetry.Validation_progress
+           { backend = "explicit"; cleared; total });
       vs
     in
     let out = List.concat (Ftes_util.Par.map_ranges ?jobs total range) in
-    Events.drain ();
+    Telemetry.drain ();
     out
   end
 
@@ -412,11 +412,11 @@ let replay_until_space ?jobs ~limit c sp =
                  out.(off) <- vs
                end
              done));
-      if Events.enabled () then begin
-        Events.emit
-          (Events.Validation_progress
+      if Telemetry.enabled () then begin
+        Telemetry.emit
+          (Telemetry.Validation_progress
              { backend = "explicit"; cleared = hi; total = count });
-        Events.drain ()
+        Telemetry.drain ()
       end;
       let found = ref found in
       let cut = ref (-1) in

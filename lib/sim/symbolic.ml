@@ -77,7 +77,6 @@ module Condvec = Ftes_ftcpg.Condvec
 module Ftcpg = Ftes_ftcpg.Ftcpg
 module Table = Ftes_sched.Table
 module Telemetry = Ftes_util.Telemetry
-module Events = Ftes_util.Events
 
 let c_cubes = Telemetry.counter "sim.symbolic.cubes"
 let c_splits = Telemetry.counter "sim.symbolic.splits"
@@ -548,13 +547,13 @@ let check_table ?jobs ?stop_after (table : Table.t) =
                 incr witnesses;
                 violations := List.rev_append (confirm witness) !violations)
           live replies;
-        if Events.enabled () then begin
+        if Telemetry.enabled () then begin
           (* Cube count so far; the eventual total is unknowable up
              front (splits create work), hence total = 0. *)
-          Events.emit
-            (Events.Validation_progress
+          Telemetry.emit
+            (Telemetry.Validation_progress
                { backend = "symbolic"; cleared = !cubes; total = 0 });
-          Events.drain ()
+          Telemetry.drain ()
         end;
         let stop =
           match limit with

@@ -14,10 +14,10 @@ let default_jobs () = Domain.recommended_domain_count ()
 
 (* Set in every worker domain (and in the calling domain while it
    participates in its own job) so nested Par calls degrade to the
-   sequential path instead of recursing into the pool. *)
-let worker_flag : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-
-let in_worker () = Domain.DLS.get worker_flag
+   sequential path instead of recursing into the pool. The flag lives
+   in [Telemetry], whose drain must not run on a worker. *)
+let in_worker = Telemetry.in_worker
+let set_in_worker = Telemetry.set_in_worker
 
 (* Pool size actually used for [n] tasks: never more domains than
    tasks, never parallel inside a worker. *)
@@ -84,7 +84,7 @@ let run_tasks (j : job) =
   loop ()
 
 let worker_body () =
-  Domain.DLS.set worker_flag true;
+  set_in_worker true;
   let my_gen = ref 0 in
   let rec loop () =
     Mutex.lock pool.lock;
@@ -182,10 +182,10 @@ let run_pool_impl ~jobs ~n ~(task : int -> unit) =
   Mutex.unlock pool.lock;
   (* The calling domain pulls tasks too; restore its flag afterwards so
      subsequent top-level Par calls still parallelize. *)
-  let saved = Domain.DLS.get worker_flag in
-  Domain.DLS.set worker_flag true;
+  let saved = in_worker () in
+  set_in_worker true;
   run_tasks j;
-  Domain.DLS.set worker_flag saved;
+  set_in_worker saved;
   (* Wait out the workers' in-flight tasks (at most one per worker once
      [next] is exhausted, so this spin is bounded by a single task). *)
   while Atomic.get j.completed < n do
@@ -228,7 +228,7 @@ let map_array ?jobs f input =
 
 (* Like [run_pool_impl], but the calling domain never pulls tasks: it
    runs [poll] in the completion-wait loop instead, so a caller can
-   deliver live progress (e.g. [Events.drain]) while [jobs] pool
+   deliver live progress (e.g. [Telemetry.drain]) while [jobs] pool
    workers race through the batch. If the pool is unavailable (mid
    shutdown) or drains to zero workers while we wait, the caller takes
    over the remaining tasks inline — the batch always completes. *)
@@ -264,21 +264,21 @@ let run_pool_live ~jobs ~n ~(task : int -> unit) ~poll =
   end;
   Mutex.unlock pool.lock;
   let run_inline () =
-    let saved = Domain.DLS.get worker_flag in
-    Domain.DLS.set worker_flag true;
+    let saved = in_worker () in
+    set_in_worker true;
     let rec go () =
       let i = Atomic.fetch_and_add j.next 1 in
       if i < n then begin
         j.task i;
         Atomic.incr j.completed;
-        Domain.DLS.set worker_flag saved;
+        set_in_worker saved;
         poll ();
-        Domain.DLS.set worker_flag true;
+        set_in_worker true;
         go ()
       end
     in
     go ();
-    Domain.DLS.set worker_flag saved
+    set_in_worker saved
   in
   if not parked then run_inline ();
   while Atomic.get j.completed < n do

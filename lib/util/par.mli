@@ -56,8 +56,8 @@ val map_live :
 (** Like {!map}, but the calling domain never executes tasks: up to
     [jobs] {e pool workers} (not [jobs - 1]) race through the batch
     while the caller repeatedly runs [poll] in its completion-wait
-    loop. Built for live observability — pass [Ftes_util.Events.drain]
-    (or any sink pump) as [poll] and events emitted by the workers are
+    loop. Built for live observability — pass [Ftes_util.Telemetry.drain]
+    (or any sink pump) as [poll] and records emitted by the workers are
     delivered while the fan-out is still in flight, instead of at the
     next drain after it returns. [poll] runs only on the calling
     domain, every few milliseconds; it must not dispatch another

@@ -1,6 +1,8 @@
-(* Process-wide instrumentation: spans into per-domain append-only
-   buffers, atomic counters/gauges/histograms, a summary tree and a
-   Chrome trace-event exporter. See telemetry.mli for the contract. *)
+(* Process-wide instrumentation on one substrate: per-domain bounded
+   rings of span and progress records, one ticket, one drain feeding
+   the span logs and the progress sinks; atomic counters, gauges and
+   histograms; summary, Chrome trace and metrics exporters. See
+   telemetry.mli for the contract. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 
@@ -15,162 +17,310 @@ type event =
     }
   | End of { id : int; ts : float }
 
+type payload =
+  | Phase_start of { phase : string }
+  | Phase_finish of { phase : string; wall_s : float }
+  | Incumbent of { source : string; cost : float; evals : int; wall_s : float }
+  | Validation_progress of { backend : string; cleared : int; total : int }
+  | Corpus_outcome of {
+      id : string;
+      ok : bool;
+      verdict : string;
+      wall_ms : float;
+    }
+  | Gc_sample of {
+      phase : string;
+      minor_words : float;
+      major_words : float;
+      heap_mb : float;
+      major_collections : int;
+    }
+  | Worker_start of { member : string }
+  | Worker_finish of { member : string; cost : float; wall_s : float }
+
+type progress = { seq : int; t : float; dom : int; payload : payload }
+
+let rec update cell f =
+  let v = Atomic.get cell in
+  if not (Atomic.compare_and_set cell v (f v)) then update cell f
+
 (* ------------------------------------------------------------------ *)
-(* Recording switch                                                    *)
+(* Recording switch and clock                                          *)
 (* ------------------------------------------------------------------ *)
 
 let on = Atomic.make false
-let enable () = Atomic.set on true
-let disable () = Atomic.set on false
 let enabled () = Atomic.get on
+let disable () = Atomic.set on false
 
-(* Bumped by [reset]: a span that began before a reset must not emit
-   its end event into the freshly cleared buffer. *)
+(* Origin of [now] and of progress timestamps. *)
+let t0 = Atomic.make 0.
+
+let enable () =
+  if not (Atomic.get on) then begin
+    Atomic.set t0 (Unix.gettimeofday ());
+    Atomic.set on true
+  end
+
+let now () =
+  if Atomic.get on then Unix.gettimeofday () -. Atomic.get t0 else 0.
+
+(* Bumped by [reset]: a span that began before a reset must not record
+   its end into the freshly cleared ring. *)
 let epoch = Atomic.make 0
 
+(* Stamps every record; a span's id is the ticket of its begin record
+   (0 means "no parent"). *)
+let ticket = Atomic.make 1
+let dropped_total = Atomic.make 0
+let dropped () = Atomic.get dropped_total
+
+(* Set by [Par] on pool workers, where nothing drains. *)
+let worker_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
+let in_worker () = Domain.DLS.get worker_key
+let set_in_worker b = Domain.DLS.set worker_key b
+
 (* ------------------------------------------------------------------ *)
-(* Per-domain event buffers                                            *)
+(* Per-domain rings and span logs                                      *)
 (* ------------------------------------------------------------------ *)
 
-type buf = {
-  dom : int;
-  mutable evs : event array;
-  mutable len : int;
-  mutable stack : int list;  (* open span ids, innermost first *)
-  mutable last_ts : float;
+type body = Span of event | Note of payload
+type record = { rseq : int; ts : float; body : body }
+
+let ring_capacity = 4096
+let filler = { rseq = 0; ts = 0.; body = Span (End { id = 0; ts = 0. }) }
+
+(* [head] and [tail] are monotonically increasing cursors into a
+   virtual infinite stream; the slot of cursor [i] is
+   [i mod ring_capacity]. Only the owning domain writes [tail] (after
+   the slot write — the atomic store publishes it) and the fields
+   marked producer; only the holder of [drain_lock] writes [head] and
+   the span log. Each ring is therefore a single-producer,
+   single-consumer queue and recording never takes a lock. *)
+type ring = {
+  rdom : int;
+  slots : record array;
+  head : int Atomic.t;
+  tail : int Atomic.t;
+  mutable open_spans : int list;  (* producer: innermost first *)
+  mutable depth : int;  (* producer: length of open_spans *)
+  mutable last_ts : float;  (* producer: clock clamp *)
+  mutable log : event array;  (* consumer: drained spans *)
+  mutable log_len : int;
 }
 
-let filler = End { id = 0; ts = 0. }
+let registry : ring list Atomic.t = Atomic.make []
 
-(* Registry of every domain's buffer. The mutex guards registration and
-   the exporters' reads; recording itself only touches the calling
-   domain's own buffer. *)
-let registry_lock = Mutex.create ()
-let registry : buf list ref = ref []
-
-let buf_key : buf Domain.DLS.key =
+let ring_key : ring Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      let b =
+      let r =
         {
-          dom = (Domain.self () :> int);
-          evs = Array.make 256 filler;
-          len = 0;
-          stack = [];
+          rdom = (Domain.self () :> int);
+          slots = Array.make ring_capacity filler;
+          head = Atomic.make 0;
+          tail = Atomic.make 0;
+          open_spans = [];
+          depth = 0;
           last_ts = 0.;
+          log = [||];
+          log_len = 0;
         }
       in
-      Mutex.lock registry_lock;
-      registry := b :: !registry;
-      Mutex.unlock registry_lock;
-      b)
+      update registry (List.cons r);
+      r)
 
-let my_buf () = Domain.DLS.get buf_key
+let my_ring () = Domain.DLS.get ring_key
 
-let push b ev =
-  if b.len = Array.length b.evs then begin
-    let bigger = Array.make (2 * b.len) filler in
-    Array.blit b.evs 0 bigger 0 b.len;
-    b.evs <- bigger
+let log_append r ev =
+  if r.log_len = Array.length r.log then begin
+    let bigger = Array.make (max 256 (2 * r.log_len)) ev in
+    Array.blit r.log 0 bigger 0 r.log_len;
+    r.log <- bigger
   end;
-  b.evs.(b.len) <- ev;
-  b.len <- b.len + 1
+  r.log.(r.log_len) <- ev;
+  r.log_len <- r.log_len + 1
 
-(* Wall clock, clamped to be non-decreasing within the buffer so span
+(* ------------------------------------------------------------------ *)
+(* Sinks and the drain                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let sinks : (int * (progress -> unit)) list Atomic.t = Atomic.make []
+let next_sink = Atomic.make 0
+
+let add_sink f =
+  let id = Atomic.fetch_and_add next_sink 1 in
+  update sinks (fun l -> l @ [ (id, f) ]);
+  id
+
+let remove_sink id = update sinks (List.filter (fun (i, _) -> i <> id))
+
+let drain_lock = Mutex.create ()
+
+(* Caller holds [drain_lock]. Spans go to their domain's log in ring
+   order (which is ticket order within a domain); progress records
+   from all domains are merged by ticket before the sinks see them. *)
+let drain_locked () =
+  let sinks = Atomic.get sinks and origin = Atomic.get t0 in
+  let notes = ref [] in
+  List.iter
+    (fun r ->
+      (* Read [tail] once: records appended while we copy are picked up
+         by the next drain. *)
+      let tail = Atomic.get r.tail in
+      for i = Atomic.get r.head to tail - 1 do
+        match r.slots.(i mod ring_capacity) with
+        | { body = Span ev; _ } -> log_append r ev
+        | { rseq; ts; body = Note payload } ->
+            if sinks <> [] then
+              notes :=
+                { seq = rseq; t = ts -. origin; dom = r.rdom; payload }
+                :: !notes
+      done;
+      Atomic.set r.head tail)
+    (Atomic.get registry);
+  List.iter
+    (fun p -> List.iter (fun (_, s) -> s p) sinks)
+    (List.sort (fun a b -> compare a.seq b.seq) !notes)
+
+let drain () =
+  if (not (in_worker ())) && Mutex.try_lock drain_lock then
+    Fun.protect ~finally:(fun () -> Mutex.unlock drain_lock) drain_locked
+
+(* Exporters wait for an in-flight drain, then drain themselves. *)
+let drained f =
+  Mutex.protect drain_lock (fun () ->
+      drain_locked ();
+      f ())
+
+(* ------------------------------------------------------------------ *)
+(* Recording                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Room for [n] more records on top of the end records reserved by the
+   domain's open spans. Outside the pool a full ring is drained in
+   place before anything is dropped. *)
+let room r = ring_capacity - (Atomic.get r.tail - Atomic.get r.head) - r.depth
+
+let has_room r n =
+  room r >= n || ((not (in_worker ())) && (drain (); room r >= n))
+
+let append r rseq body ts =
+  let tail = Atomic.get r.tail in
+  r.slots.(tail mod ring_capacity) <- { rseq; ts; body };
+  Atomic.set r.tail (tail + 1)
+
+(* Wall clock, clamped to be non-decreasing within the domain so span
    nesting is always well-formed even if gettimeofday steps back. *)
-let now b =
+let stamp r =
   let t = Unix.gettimeofday () in
-  let t = if t < b.last_ts then b.last_ts else t in
-  b.last_ts <- t;
-  t
+  if t > r.last_ts then r.last_ts <- t;
+  r.last_ts
 
-let next_id = Atomic.make 1
+let emit payload =
+  if Atomic.get on then begin
+    let r = my_ring () in
+    if has_room r 1 then
+      append r (Atomic.fetch_and_add ticket 1) (Note payload) (stamp r)
+    else Atomic.incr dropped_total
+  end
+
+let close_span r e0 id =
+  if Atomic.get epoch = e0 then begin
+    (match r.open_spans with
+    | top :: rest when top = id ->
+        r.open_spans <- rest;
+        r.depth <- r.depth - 1
+    | _ -> ());
+    let ts = stamp r in
+    append r (Atomic.fetch_and_add ticket 1) (Span (End { id; ts })) ts
+  end
 
 let with_span ?(cat = "ftes") ?(args = []) name f =
   if not (Atomic.get on) then f ()
   else begin
-    let b = my_buf () in
-    let e0 = Atomic.get epoch in
-    let id = Atomic.fetch_and_add next_id 1 in
-    let parent = match b.stack with [] -> 0 | p :: _ -> p in
-    push b (Begin { id; parent; name; cat; ts = now b; args });
-    b.stack <- id :: b.stack;
-    Fun.protect
-      ~finally:(fun () ->
-        if Atomic.get epoch = e0 then begin
-          (match b.stack with
-          | top :: rest when top = id -> b.stack <- rest
-          | _ -> ());
-          push b (End { id; ts = now b })
-        end)
-      f
+    let r = my_ring () in
+    if not (has_room r 2) then begin
+      Atomic.incr dropped_total;
+      f ()
+    end
+    else begin
+      let e0 = Atomic.get epoch in
+      let id = Atomic.fetch_and_add ticket 1 in
+      let parent = match r.open_spans with [] -> 0 | p :: _ -> p in
+      let ts = stamp r in
+      append r id (Span (Begin { id; parent; name; cat; ts; args })) ts;
+      r.open_spans <- id :: r.open_spans;
+      r.depth <- r.depth + 1;
+      Fun.protect ~finally:(fun () -> close_span r e0 id) f
+    end
   end
 
+let word_bytes = float_of_int (Sys.word_size / 8)
+
+let finish_phase phase start =
+  if Atomic.get on then begin
+    let s = Gc.quick_stat () in
+    emit
+      (Gc_sample
+         {
+           phase;
+           minor_words = s.Gc.minor_words;
+           major_words = s.Gc.major_words;
+           heap_mb = float_of_int s.Gc.heap_words *. word_bytes /. 1e6;
+           major_collections = s.Gc.major_collections;
+         });
+    emit (Phase_finish { phase; wall_s = Unix.gettimeofday () -. start })
+  end
+
+let with_phase ?cat ?args phase f =
+  if not (Atomic.get on) then f ()
+  else
+    Fun.protect ~finally:drain (fun () ->
+        with_span ?cat ?args phase (fun () ->
+            emit (Phase_start { phase });
+            drain ();
+            let start = Unix.gettimeofday () in
+            Fun.protect ~finally:(fun () -> finish_phase phase start) f))
+
 (* ------------------------------------------------------------------ *)
-(* Counters                                                            *)
+(* Counters, gauges, histograms                                        *)
 (* ------------------------------------------------------------------ *)
 
-type counter = { cname : string; cell : int Atomic.t }
+(* One lock guards the three name registries; updates to a registered
+   cell are lock-free. *)
+let names_lock = Mutex.create ()
 
-let counters_lock = Mutex.create ()
+let intern tbl name make =
+  Mutex.protect names_lock (fun () ->
+      match Hashtbl.find_opt tbl name with
+      | Some v -> v
+      | None ->
+          let v = make () in
+          Hashtbl.add tbl name v;
+          v)
+
+let sorted tbl value =
+  Mutex.protect names_lock (fun () ->
+      Hashtbl.fold (fun name v acc -> (name, value v) :: acc) tbl [])
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+type counter = int Atomic.t
+
 let counter_registry : (string, counter) Hashtbl.t = Hashtbl.create 32
-
-let counter name =
-  Mutex.lock counters_lock;
-  let c =
-    match Hashtbl.find_opt counter_registry name with
-    | Some c -> c
-    | None ->
-        let c = { cname = name; cell = Atomic.make 0 } in
-        Hashtbl.add counter_registry name c;
-        c
-  in
-  Mutex.unlock counters_lock;
-  c
-
-let add c n = if Atomic.get on then ignore (Atomic.fetch_and_add c.cell n)
+let counter name = intern counter_registry name (fun () -> Atomic.make 0)
+let add c n = if Atomic.get on then ignore (Atomic.fetch_and_add c n)
 let incr c = add c 1
-let counter_value c = Atomic.get c.cell
+let counter_value = Atomic.get
+let counters () = sorted counter_registry Atomic.get
 
-let counters () =
-  Mutex.lock counters_lock;
-  let cs =
-    Hashtbl.fold (fun name c acc -> (name, Atomic.get c.cell) :: acc)
-      counter_registry []
-  in
-  Mutex.unlock counters_lock;
-  List.sort compare cs
-
-(* ------------------------------------------------------------------ *)
-(* Gauges                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let gauges_lock = Mutex.create ()
 let gauge_registry : (string, float Atomic.t) Hashtbl.t = Hashtbl.create 16
 
 let set_gauge name v =
-  if Atomic.get on then begin
-    Mutex.lock gauges_lock;
-    (match Hashtbl.find_opt gauge_registry name with
-    | Some cell -> Atomic.set cell v
-    | None -> Hashtbl.add gauge_registry name (Atomic.make v));
-    Mutex.unlock gauges_lock
-  end
+  if Atomic.get on then
+    Atomic.set (intern gauge_registry name (fun () -> Atomic.make v)) v
 
-let gauges () =
-  Mutex.lock gauges_lock;
-  let gs =
-    Hashtbl.fold (fun name cell acc -> (name, Atomic.get cell) :: acc)
-      gauge_registry []
-  in
-  Mutex.unlock gauges_lock;
-  List.sort compare gs
-
-(* ------------------------------------------------------------------ *)
-(* Histograms                                                          *)
-(* ------------------------------------------------------------------ *)
+let gauges () = sorted gauge_registry Atomic.get
 
 type histogram = {
-  hname : string;
   bounds : float array;  (* ascending upper bounds *)
   buckets : int Atomic.t array;  (* length bounds + 1 (overflow) *)
   total : int Atomic.t;
@@ -181,50 +331,28 @@ type histogram = {
 let default_bounds =
   [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.; 10.; 100. |]
 
-let check_bounds name bounds =
-  if Array.length bounds = 0 then
-    invalid_arg (Printf.sprintf "Telemetry.histogram %s: empty bounds" name);
-  for i = 1 to Array.length bounds - 1 do
-    if bounds.(i) <= bounds.(i - 1) then
-      invalid_arg
-        (Printf.sprintf "Telemetry.histogram %s: bounds not increasing" name)
-  done
-
-let hist_lock = Mutex.create ()
 let hist_registry : (string, histogram) Hashtbl.t = Hashtbl.create 16
 
 let histogram ?(bounds = default_bounds) name =
-  check_bounds name bounds;
-  Mutex.lock hist_lock;
-  let h =
-    match Hashtbl.find_opt hist_registry name with
-    | Some h ->
-        if h.bounds <> bounds then begin
-          Mutex.unlock hist_lock;
-          invalid_arg
-            (Printf.sprintf "Telemetry.histogram %s: conflicting bounds" name)
-        end;
-        h
-    | None ->
-        let h =
-          {
-            hname = name;
-            bounds = Array.copy bounds;
-            buckets =
-              Array.init (Array.length bounds + 1) (fun _ -> Atomic.make 0);
-            total = Atomic.make 0;
-            sum = Atomic.make 0.;
-          }
-        in
-        Hashtbl.add hist_registry name h;
-        h
+  let fail why =
+    invalid_arg (Printf.sprintf "Telemetry.histogram %s: %s" name why)
   in
-  Mutex.unlock hist_lock;
+  if Array.length bounds = 0 then fail "empty bounds";
+  for i = 1 to Array.length bounds - 1 do
+    if bounds.(i) <= bounds.(i - 1) then fail "bounds not increasing"
+  done;
+  let h =
+    intern hist_registry name (fun () ->
+        {
+          bounds = Array.copy bounds;
+          buckets =
+            Array.init (Array.length bounds + 1) (fun _ -> Atomic.make 0);
+          total = Atomic.make 0;
+          sum = Atomic.make 0.;
+        })
+  in
+  if h.bounds <> bounds then fail "conflicting bounds";
   h
-
-let rec atomic_add_float cell d =
-  let v = Atomic.get cell in
-  if not (Atomic.compare_and_set cell v (v +. d)) then atomic_add_float cell d
 
 let bucket_of h x =
   let n = Array.length h.bounds in
@@ -235,8 +363,14 @@ let observe h x =
   if Atomic.get on then begin
     ignore (Atomic.fetch_and_add h.buckets.(bucket_of h x) 1);
     ignore (Atomic.fetch_and_add h.total 1);
-    atomic_add_float h.sum x
+    update h.sum (fun s -> s +. x)
   end
+
+(* (name, histogram) pairs, sorted by name. *)
+let histograms () = sorted hist_registry Fun.id
+
+let hist_snapshot h =
+  (Array.map Atomic.get h.buckets, Atomic.get h.total, Atomic.get h.sum)
 
 (* ------------------------------------------------------------------ *)
 (* Reset / dump                                                        *)
@@ -244,37 +378,31 @@ let observe h x =
 
 let reset () =
   Atomic.incr epoch;
-  Mutex.lock registry_lock;
-  List.iter
-    (fun b ->
-      b.len <- 0;
-      b.stack <- [])
-    !registry;
-  Mutex.unlock registry_lock;
-  Mutex.lock counters_lock;
-  Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) counter_registry;
-  Mutex.unlock counters_lock;
-  Mutex.lock gauges_lock;
-  Hashtbl.reset gauge_registry;
-  Mutex.unlock gauges_lock;
-  Mutex.lock hist_lock;
-  Hashtbl.iter
-    (fun _ h ->
-      Array.iter (fun c -> Atomic.set c 0) h.buckets;
-      Atomic.set h.total 0;
-      Atomic.set h.sum 0.)
-    hist_registry;
-  Mutex.unlock hist_lock
+  Mutex.protect drain_lock (fun () ->
+      List.iter
+        (fun r ->
+          Atomic.set r.head (Atomic.get r.tail);
+          r.open_spans <- [];
+          r.depth <- 0;
+          r.log_len <- 0)
+        (Atomic.get registry));
+  Atomic.set dropped_total 0;
+  Mutex.protect names_lock (fun () ->
+      Hashtbl.iter (fun _ c -> Atomic.set c 0) counter_registry;
+      Hashtbl.reset gauge_registry;
+      Hashtbl.iter
+        (fun _ h ->
+          Array.iter (fun c -> Atomic.set c 0) h.buckets;
+          Atomic.set h.total 0;
+          Atomic.set h.sum 0.)
+        hist_registry)
 
 let dump () =
-  Mutex.lock registry_lock;
-  let snap =
-    List.map
-      (fun b -> (b.dom, Array.to_list (Array.sub b.evs 0 b.len)))
-      !registry
-  in
-  Mutex.unlock registry_lock;
-  List.sort (fun (a, _) (b, _) -> compare a b) snap
+  drained (fun () ->
+      List.map
+        (fun r -> (r.rdom, Array.to_list (Array.sub r.log 0 r.log_len)))
+        (Atomic.get registry))
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* ------------------------------------------------------------------ *)
 (* Summary tree                                                        *)
@@ -356,10 +484,6 @@ let rec pp_tree ppf ~indent tbl =
       pp_tree ppf ~indent:(indent + 2) n.children)
     entries
 
-let hist_snapshot h =
-  let buckets = Array.map Atomic.get h.buckets in
-  (buckets, Atomic.get h.total, Atomic.get h.sum)
-
 (* Approximate percentiles from the fixed buckets: one representative
    sample per bucket midpoint, weighted by its count, fed through
    [Stats.percentile]. *)
@@ -395,27 +519,20 @@ let pp_summary ppf () =
   else
     List.iter (fun (name, v) -> Format.fprintf ppf "  %-36s %12g@," name v) gs;
   Format.fprintf ppf "histograms:@,";
-  Mutex.lock hist_lock;
-  let hs =
-    Hashtbl.fold (fun _ h acc -> h :: acc) hist_registry []
-    |> List.sort (fun a b -> compare a.hname b.hname)
-  in
-  Mutex.unlock hist_lock;
   let printed = ref false in
   List.iter
-    (fun h ->
+    (fun (name, h) ->
       let buckets, total, sum = hist_snapshot h in
       if total > 0 then begin
         printed := true;
         let samples = hist_samples h buckets in
         Format.fprintf ppf
-          "  %-36s %8d obs  mean %10.3g  p50 %10.3g  p99 %10.3g@," h.hname
-          total
+          "  %-36s %8d obs  mean %10.3g  p50 %10.3g  p99 %10.3g@," name total
           (sum /. float_of_int total)
           (Stats.percentile 50. samples)
           (Stats.percentile 99. samples)
       end)
-    hs;
+    (histograms ());
   if not !printed then Format.fprintf ppf "  (none)@,";
   Format.fprintf ppf "@]"
 
@@ -516,59 +633,32 @@ let write_chrome_trace path =
 (* Metrics exposition (JSON snapshot + Prometheus text format)         *)
 (* ------------------------------------------------------------------ *)
 
-let sorted_histograms () =
-  Mutex.lock hist_lock;
-  let hs = Hashtbl.fold (fun _ h acc -> h :: acc) hist_registry [] in
-  Mutex.unlock hist_lock;
-  List.sort (fun a b -> compare a.hname b.hname) hs
-
 let jfloat f =
   if Float.is_finite f then Printf.sprintf "%.9g" f
   else Printf.sprintf "\"%s\"" (string_of_float f)
 
 let to_metrics_json () =
-  let b = Buffer.create 1024 in
-  let obj name render items =
-    Buffer.add_string b (Printf.sprintf "\"%s\": {" name);
-    List.iteri
-      (fun i item ->
-        if i > 0 then Buffer.add_string b ", ";
-        render item)
-      items;
-    Buffer.add_string b "}"
+  let obj fields = "{" ^ String.concat ", " fields ^ "}" in
+  let field render (name, v) =
+    Printf.sprintf "\"%s\": %s" (json_escape name) (render v)
   in
-  Buffer.add_string b "{";
-  obj "counters"
-    (fun (name, v) ->
-      Buffer.add_string b (Printf.sprintf "\"%s\": %d" (json_escape name) v))
-    (counters ());
-  Buffer.add_string b ", ";
-  obj "gauges"
-    (fun (name, v) ->
-      Buffer.add_string b
-        (Printf.sprintf "\"%s\": %s" (json_escape name) (jfloat v)))
-    (gauges ());
-  Buffer.add_string b ", ";
-  obj "histograms"
-    (fun h ->
-      let buckets, total, sum = hist_snapshot h in
-      Buffer.add_string b (Printf.sprintf "\"%s\": {" (json_escape h.hname));
-      Buffer.add_string b "\"buckets\": [";
-      Array.iteri
-        (fun i c ->
-          if i > 0 then Buffer.add_string b ", ";
-          let le =
-            if i < Array.length h.bounds then jfloat h.bounds.(i)
-            else "\"+Inf\""
-          in
-          Buffer.add_string b
-            (Printf.sprintf "{\"le\": %s, \"count\": %d}" le c))
-        buckets;
-      Buffer.add_string b
-        (Printf.sprintf "], \"total\": %d, \"sum\": %s}" total (jfloat sum)))
-    (sorted_histograms ());
-  Buffer.add_string b "}";
-  Buffer.contents b
+  let hist h =
+    let buckets, total, sum = hist_snapshot h in
+    let bucket i c =
+      Printf.sprintf "{\"le\": %s, \"count\": %d}"
+        (if i < Array.length h.bounds then jfloat h.bounds.(i) else "\"+Inf\"")
+        c
+    in
+    Printf.sprintf "{\"buckets\": [%s], \"total\": %d, \"sum\": %s}"
+      (String.concat ", " (Array.to_list (Array.mapi bucket buckets)))
+      total (jfloat sum)
+  in
+  obj
+    [
+      field obj ("counters", List.map (field string_of_int) (counters ()));
+      field obj ("gauges", List.map (field jfloat) (gauges ()));
+      field obj ("histograms", List.map (field hist) (histograms ()));
+    ]
 
 let prom_name name =
   "ftes_"
@@ -591,8 +681,8 @@ let pp_prometheus ppf () =
       Format.fprintf ppf "# TYPE %s gauge@\n%s %g@\n" n n v)
     (gauges ());
   List.iter
-    (fun h ->
-      let n = prom_name h.hname in
+    (fun (name, h) ->
+      let n = prom_name name in
       let buckets, total, sum = hist_snapshot h in
       Format.fprintf ppf "# TYPE %s histogram@\n" n;
       let cumulative = ref 0 in
@@ -607,4 +697,85 @@ let pp_prometheus ppf () =
           Format.fprintf ppf "%s_bucket{le=\"%s\"} %d@\n" n le !cumulative)
         buckets;
       Format.fprintf ppf "%s_sum %g@\n%s_count %d@\n" n sum n total)
-    (sorted_histograms ())
+    (histograms ())
+
+(* ------------------------------------------------------------------ *)
+(* Progress rendering (NDJSON and the live TTY view)                   *)
+(* ------------------------------------------------------------------ *)
+
+let progress_to_json ev =
+  let common =
+    Printf.sprintf "\"seq\": %d, \"t\": %s, \"dom\": %d" ev.seq (jfloat ev.t)
+      ev.dom
+  in
+  match ev.payload with
+  | Phase_start { phase } ->
+      Printf.sprintf "{%s, \"type\": \"phase-start\", \"phase\": \"%s\"}"
+        common (json_escape phase)
+  | Phase_finish { phase; wall_s } ->
+      Printf.sprintf
+        "{%s, \"type\": \"phase-finish\", \"phase\": \"%s\", \"wall_s\": %s}"
+        common (json_escape phase) (jfloat wall_s)
+  | Incumbent { source; cost; evals; wall_s } ->
+      Printf.sprintf
+        "{%s, \"type\": \"incumbent\", \"source\": \"%s\", \"cost\": %s, \
+         \"evals\": %d, \"wall_s\": %s}"
+        common (json_escape source) (jfloat cost) evals (jfloat wall_s)
+  | Validation_progress { backend; cleared; total } ->
+      Printf.sprintf
+        "{%s, \"type\": \"validation-progress\", \"backend\": \"%s\", \
+         \"cleared\": %d, \"total\": %d}"
+        common (json_escape backend) cleared total
+  | Corpus_outcome { id; ok; verdict; wall_ms } ->
+      Printf.sprintf
+        "{%s, \"type\": \"corpus-outcome\", \"id\": \"%s\", \"ok\": %b, \
+         \"verdict\": \"%s\", \"wall_ms\": %s}"
+        common (json_escape id) ok (json_escape verdict) (jfloat wall_ms)
+  | Gc_sample { phase; minor_words; major_words; heap_mb; major_collections }
+    ->
+      Printf.sprintf
+        "{%s, \"type\": \"gc-sample\", \"phase\": \"%s\", \"minor_words\": \
+         %s, \"major_words\": %s, \"heap_mb\": %s, \"major_collections\": %d}"
+        common (json_escape phase) (jfloat minor_words) (jfloat major_words)
+        (jfloat heap_mb) major_collections
+  | Worker_start { member } ->
+      Printf.sprintf "{%s, \"type\": \"worker-start\", \"member\": \"%s\"}"
+        common (json_escape member)
+  | Worker_finish { member; cost; wall_s } ->
+      Printf.sprintf
+        "{%s, \"type\": \"worker-finish\", \"member\": \"%s\", \"cost\": %s, \
+         \"wall_s\": %s}"
+        common (json_escape member) (jfloat cost) (jfloat wall_s)
+
+let ndjson_sink oc ev =
+  output_string oc (progress_to_json ev);
+  output_char oc '\n';
+  flush oc
+
+let progress_sink oc ev =
+  (match ev.payload with
+  | Phase_start { phase } -> Printf.fprintf oc "[%7.2fs] >> %s\n" ev.t phase
+  | Phase_finish { phase; wall_s } ->
+      Printf.fprintf oc "[%7.2fs] << %s (%.2f s)\n" ev.t phase wall_s
+  | Incumbent { source; cost; evals; wall_s } ->
+      Printf.fprintf oc "[%7.2fs]    %s incumbent %g (%d evals, %.2f s)\n" ev.t
+        source cost evals wall_s
+  | Validation_progress { backend; cleared; total } ->
+      if total > 0 then
+        Printf.fprintf oc "[%7.2fs]    validate %s %d/%d scenarios\n" ev.t
+          backend cleared total
+      else
+        Printf.fprintf oc "[%7.2fs]    validate %s %d cube(s)\n" ev.t backend
+          cleared
+  | Corpus_outcome { id; ok; verdict; wall_ms } ->
+      Printf.fprintf oc "[%7.2fs]    corpus %-34s %s (%s, %.1f ms)\n" ev.t id
+        (if ok then "ok" else "FAILED")
+        verdict wall_ms
+  | Gc_sample { phase; heap_mb; major_collections; _ } ->
+      Printf.fprintf oc "[%7.2fs]    gc %s: heap %.1f MB, %d major\n" ev.t
+        phase heap_mb major_collections
+  | Worker_start { member } -> Printf.fprintf oc "[%7.2fs] |> %s\n" ev.t member
+  | Worker_finish { member; cost; wall_s } ->
+      Printf.fprintf oc "[%7.2fs] <| %s final %g (%.2f s)\n" ev.t member cost
+        wall_s);
+  flush oc

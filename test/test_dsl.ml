@@ -88,8 +88,18 @@ let test_parse_errors () =
   Alcotest.(check (option int)) "unknown process in message" (Some 0)
     (parse_error_line
        "nodes 1\nprocess A\nmessage m from A to Z size 1\nwcet A 1\n");
-  Alcotest.(check (option int)) "wcet arity" (Some 0)
+  Alcotest.(check (option int)) "wcet arity on its row" (Some 3)
     (parse_error_line "nodes 2\nprocess A\nwcet A 1\n");
+  Alcotest.(check (option int)) "negative wcet on its row" (Some 4)
+    (parse_error_line "nodes 1\nprocess A\n\nwcet A -5\n");
+  Alcotest.(check (option int)) "non-finite number" (Some 2)
+    (parse_error_line "nodes 1\nprocess A alpha nan\nwcet A 1\n");
+  Alcotest.(check (option int)) "negative k" (Some 1)
+    (parse_error_line "k -1\nnodes 1\nprocess A\nwcet A 1\n");
+  Alcotest.(check (option int)) "model constraint (deadline > period)"
+    (Some 0)
+    (parse_error_line
+       "deadline 20\nperiod 10\nnodes 1\nprocess A\nwcet A 1\n");
   Alcotest.(check (option int)) "duplicate process" (Some 0)
     (parse_error_line "nodes 1\nprocess A\nprocess A\nwcet A 1\n");
   Alcotest.(check (option int)) "no processes" (Some 0)

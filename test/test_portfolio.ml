@@ -13,8 +13,8 @@ module Evalcache = Ftes_optim.Evalcache
 module Problem = Ftes_ftcpg.Problem
 module Slack = Ftes_sched.Slack
 module Graph = Ftes_app.Graph
-module Events = Ftes_util.Events
 module Gen = Ftes_workload.Gen
+module Telemetry = Ftes_util.Telemetry
 
 let inputs ?(processes = 10) ?(nodes = 3) ?(seed = 31) ?(k = 2) () =
   let app, arch, wcet =
@@ -281,24 +281,24 @@ let test_exchange_mode () =
 let test_race_events () =
   let i = inputs ~processes:8 ~seed:23 () in
   let starts = ref [] and finishes = ref [] and incumbents = ref 0 in
-  let capture (e : Events.event) =
-    match e.Events.payload with
-    | Events.Worker_start { member } -> starts := member :: !starts
-    | Events.Worker_finish { member; cost; wall_s } ->
+  let capture (e : Telemetry.progress) =
+    match e.Telemetry.payload with
+    | Telemetry.Worker_start { member } -> starts := member :: !starts
+    | Telemetry.Worker_finish { member; cost; wall_s } ->
         Alcotest.(check bool) (member ^ ": finite cost") true
           (Float.is_finite cost && wall_s >= 0.);
         finishes := member :: !finishes
-    | Events.Incumbent { source; _ } ->
+    | Telemetry.Incumbent { source; _ } ->
         if String.length source >= 10 && String.sub source 0 10 = "portfolio:"
         then incr incumbents
     | _ -> ()
   in
-  Events.enable ();
-  let sink = Events.add_sink capture in
+  Telemetry.enable ();
+  let sink = Telemetry.add_sink capture in
   let r = run_portfolio ~jobs:2 i in
-  Events.drain ();
-  Events.remove_sink sink;
-  Events.disable ();
+  Telemetry.drain ();
+  Telemetry.remove_sink sink;
+  Telemetry.disable ();
   let n = List.length r.Portfolio.members in
   Alcotest.(check int) "one start per member" n (List.length !starts);
   Alcotest.(check int) "one finish per member" n (List.length !finishes);
