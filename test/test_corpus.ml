@@ -1,13 +1,11 @@
 (* Tests for the regression-gated benchmark corpus: manifest round-trip,
-   registry determinism/coverage, a sampled end-to-end oracle run
-   against the checked-in manifest, and the cross-commit trajectory
-   store (round-trip, schema filtering, trend verdicts). *)
+   registry determinism/coverage, and a sampled end-to-end oracle run
+   against the checked-in manifest. *)
 
 module I = Ftes_corpus.Instance
 module Registry = Ftes_corpus.Registry
 module Manifest = Ftes_corpus.Manifest
 module Runner = Ftes_corpus.Runner
-module Trajectory = Ftes_corpus.Trajectory
 
 (* dune's (deps ../corpus/manifest.json) places the checked-in manifest
    next to the test's cwd (_build/default/test) under `dune runtest`;
@@ -370,148 +368,6 @@ let test_stable_seed () =
       Alcotest.(check bool) "non-negative" true (I.stable_seed i.I.id >= 0))
     (Registry.all ())
 
-(* ------------------------------------------------------------------ *)
-(* Trajectory store: round-trip, schema filtering, trend verdicts       *)
-(* ------------------------------------------------------------------ *)
-
-let entry ?(ok = true) ~commit ~id ~length ~wall_ms () =
-  {
-    Trajectory.commit;
-    schema = Trajectory.schema_version;
-    id;
-    ok;
-    length;
-    wall_ms;
-  }
-
-let test_append_load_roundtrip () =
-  let path = Filename.temp_file "ftes-traj" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      Sys.remove path;
-      Alcotest.(check bool) "missing file is an empty history" true
-        (Trajectory.load path = Ok []);
-      let e1 =
-        entry ~commit:"abc123" ~id:"odd \"id\"\\with\nescapes" ~length:12.5
-          ~wall_ms:3.25 ()
-      in
-      let e2 = entry ~ok:false ~commit:"def456" ~id:"plain" ~length:0.
-          ~wall_ms:1. ()
-      in
-      Trajectory.append path [ e1 ];
-      Trajectory.append path [ e2 ];
-      (match Trajectory.load path with
-      | Ok [ a; b ] ->
-          Alcotest.(check bool) "first entry round-trips" true (a = e1);
-          Alcotest.(check bool) "second entry round-trips" true (b = e2)
-      | Ok l ->
-          Alcotest.fail (Printf.sprintf "expected 2 entries, got %d"
-                           (List.length l))
-      | Error m -> Alcotest.fail m);
-      (* Entries from other schema versions stay on disk but are
-         invisible to readers. *)
-      Trajectory.append path [ { e1 with Trajectory.schema = 999 } ];
-      (match Trajectory.load path with
-      | Ok l ->
-          Alcotest.(check int) "foreign schema dropped" 2 (List.length l)
-      | Error m -> Alcotest.fail m);
-      (* An unparseable line is an error naming its line number. *)
-      let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
-      output_string oc "not json\n";
-      close_out oc;
-      match Trajectory.load path with
-      | Ok _ -> Alcotest.fail "corrupt line accepted"
-      | Error m ->
-          Alcotest.(check bool)
-            (Printf.sprintf "error %S names line 4" m)
-            true
-            (String.length m >= 7 && String.sub m 0 7 = "line 4:"))
-
-let problems_of comparisons id =
-  match List.find_opt (fun c -> c.Trajectory.cid = id) comparisons with
-  | Some c -> c.Trajectory.problems
-  | None -> Alcotest.fail (Printf.sprintf "no comparison for %S" id)
-
-let has_problem comparisons id needle =
-  List.exists
-    (fun p ->
-      let pl = String.length p and nl = String.length needle in
-      let rec go i =
-        i + nl <= pl && (String.sub p i nl = needle || go (i + 1))
-      in
-      go 0)
-    (problems_of comparisons id)
-
-let test_trend_clean_history () =
-  let es =
-    List.init 5 (fun i ->
-        entry
-          ~commit:(Printf.sprintf "c%d" i)
-          ~id:"stable" ~length:100.
-          ~wall_ms:(10. +. float_of_int i)
-          ())
-  in
-  match Trajectory.trend es with
-  | [ c ] ->
-      Alcotest.(check (list string)) "no problems" [] c.Trajectory.problems;
-      Alcotest.(check int) "window size" 5 c.Trajectory.runs
-  | l ->
-      Alcotest.fail
-        (Printf.sprintf "expected 1 comparison, got %d" (List.length l))
-
-let test_trend_flags_regressions () =
-  let series ~id f = List.init 5 (fun i -> f i ~commit:(Printf.sprintf "c%d" i) ~id) in
-  let es =
-    series ~id:"slow" (fun i ~commit ~id ->
-        entry ~commit ~id ~length:100.
-          ~wall_ms:(if i = 4 then 30. else 10.) ())
-    @ series ~id:"worse" (fun i ~commit ~id ->
-          entry ~commit ~id
-            ~length:(if i = 4 then 101. else 100.)
-            ~wall_ms:10. ())
-    @ series ~id:"broken" (fun i ~commit ~id ->
-          entry ~ok:(i < 4) ~commit ~id ~length:100. ~wall_ms:10. ())
-    @ series ~id:"fine" (fun _ ~commit ~id ->
-          entry ~commit ~id ~length:100. ~wall_ms:10. ())
-    @ series ~id:"jittery" (fun i ~commit ~id ->
-          (* Sub-floor wall times swing by whole multiples without
-             anything having regressed — the absolute floor mutes them. *)
-          entry ~commit ~id ~length:100.
-            ~wall_ms:(if i = 4 then 4. else 0.5) ())
-  in
-  let cs = Trajectory.trend es in
-  Alcotest.(check bool) "wall-clock regression flagged" true
-    (has_problem cs "slow" "runtime regression");
-  Alcotest.(check bool) "quality regression flagged" true
-    (has_problem cs "worse" "quality regression");
-  Alcotest.(check bool) "failure flip flagged" true
-    (has_problem cs "broken" "failed");
-  Alcotest.(check (list string)) "clean instance stays clean" []
-    (problems_of cs "fine");
-  Alcotest.(check (list string)) "sub-floor jitter not flagged" []
-    (problems_of cs "jittery")
-
-let test_trend_window_and_singletons () =
-  (* A historical best outside the window must not poison the baseline:
-     the first five short/fast runs age out, the recent window is
-     uniformly slower but internally flat — clean. *)
-  let es =
-    List.init 10 (fun i ->
-        entry
-          ~commit:(Printf.sprintf "c%d" i)
-          ~id:"drifted"
-          ~length:(if i < 5 then 50. else 100.)
-          ~wall_ms:(if i < 5 then 1. else 10.)
-          ())
-    @ [ entry ~commit:"only" ~id:"singleton" ~length:1. ~wall_ms:1. () ]
-  in
-  let cs = Trajectory.trend es in
-  Alcotest.(check (list string)) "aged-out best ignored" []
-    (problems_of cs "drifted");
-  Alcotest.(check bool) "single-run instances omitted" true
-    (List.for_all (fun c -> c.Trajectory.cid <> "singleton") cs)
-
 let () =
   Alcotest.run "corpus"
     [
@@ -552,16 +408,5 @@ let () =
             test_evaluate_typed_errors;
           Alcotest.test_case "symbolic block" `Quick
             test_registry_symbolic_block;
-        ] );
-      ( "trajectory",
-        [
-          Alcotest.test_case "append/load round-trip + schema filter" `Quick
-            test_append_load_roundtrip;
-          Alcotest.test_case "clean history has no problems" `Quick
-            test_trend_clean_history;
-          Alcotest.test_case "regressions flagged per axis" `Quick
-            test_trend_flags_regressions;
-          Alcotest.test_case "window ages out, singletons omitted" `Quick
-            test_trend_window_and_singletons;
         ] );
     ]

@@ -2,10 +2,9 @@
    the search (bit-identical trajectories with telemetry on or off, for
    any jobs value), span logs must be well formed (properly nested,
    monotone timestamps) including spans recorded on pool workers,
-   counters must agree with the legacy per-cache stats, the progress
-   stream must render as NDJSON with the expected payloads, full rings
-   must drop-and-count rather than block or crash, and the exporters
-   must produce valid output. *)
+   counters must agree with the legacy per-cache stats, and the
+   exporters must produce valid output. The progress stream has its own
+   suite in test_progress.ml. *)
 
 module Telemetry = Ftes_util.Telemetry
 module Evalcache = Ftes_optim.Evalcache
@@ -14,7 +13,6 @@ module Problem = Ftes_ftcpg.Problem
 module Mapping = Ftes_ftcpg.Mapping
 module Graph = Ftes_app.Graph
 module Synthesis = Ftes_core.Synthesis
-module Manifest = Ftes_corpus.Manifest
 module Par = Ftes_util.Par
 
 (* Full design configuration as a comparable string (same idiom as
@@ -50,16 +48,9 @@ let test_trajectory_identity () =
         Helpers.random_problem ~frozen:false ~mixed_policies:false
           ~processes:10 ~nodes:3 ~k:2 ~seed ()
       in
-      (* One switch covers spans, counters and the progress stream; a
-         registered sink makes the "on" runs deliver records too. *)
       let run ~telemetry ~jobs =
         if telemetry then Telemetry.enable () else Telemetry.disable ();
-        let sink = Telemetry.add_sink ignore in
-        Fun.protect
-          ~finally:(fun () ->
-            Telemetry.remove_sink sink;
-            Telemetry.disable ())
-          (fun () ->
+        Fun.protect ~finally:Telemetry.disable (fun () ->
             let b, l = Tabu.optimize { quick_opts with jobs } p in
             (l, config_string b))
       in
@@ -226,221 +217,6 @@ let test_worker_spans_live_poll () =
           Alcotest.(check bool) (name ^ ": recorded on the workers") true
             (List.for_all (fun d -> List.mem d doms) on))
         [ "test.member"; "sched.conditional"; "sim.validate" ])
-
-(* ------------------------------------------------------------------ *)
-(* Progress stream: NDJSON well-formed, expected payloads              *)
-(* ------------------------------------------------------------------ *)
-
-(* Run [f] with telemetry enabled and a collecting sink; return the
-   delivered progress records in delivery order. *)
-let collect f =
-  let acc = ref [] in
-  recording (fun () ->
-      let id = Telemetry.add_sink (fun e -> acc := e :: !acc) in
-      Fun.protect
-        ~finally:(fun () ->
-          Telemetry.drain ();
-          Telemetry.remove_sink id)
-        f);
-  List.rev !acc
-
-let is_incumbent (e : Telemetry.progress) =
-  match e.Telemetry.payload with Telemetry.Incumbent _ -> true | _ -> false
-
-let validation_backend (e : Telemetry.progress) =
-  match e.Telemetry.payload with
-  | Telemetry.Validation_progress { backend; _ } -> Some backend
-  | _ -> None
-
-let synthesize_and_validate ~jobs () =
-  let app, arch, wcet =
-    Ftes_workload.Gen.instance
-      { Ftes_workload.Gen.default with processes = 6; nodes = 2; seed = 5 }
-  in
-  let options =
-    { Synthesis.default_options with tabu = { quick_opts with jobs } }
-  in
-  let result = Synthesis.synthesize ~options ~app ~arch ~wcet ~k:2 () in
-  ignore (Synthesis.validate ~jobs result)
-
-let test_ndjson_well_formed () =
-  List.iter
-    (fun jobs ->
-      let events = collect (synthesize_and_validate ~jobs) in
-      let ctx s = Printf.sprintf "jobs=%d: %s" jobs s in
-      Alcotest.(check bool) (ctx "records delivered") true (events <> []);
-      (* Delivery order is ticket order. *)
-      ignore
-        (List.fold_left
-           (fun prev (e : Telemetry.progress) ->
-             Alcotest.(check bool)
-               (ctx "seq strictly increases") true
-               (e.Telemetry.seq > prev);
-             e.Telemetry.seq)
-           (-1) events);
-      let count p = List.length (List.filter p events) in
-      Alcotest.(check bool)
-        (ctx "at least one incumbent") true
-        (count is_incumbent >= 1);
-      Alcotest.(check bool)
-        (ctx "at least one explicit validation-progress") true
-        (count (fun e -> validation_backend e = Some "explicit") >= 1);
-      let starts =
-        count (fun e ->
-            match e.Telemetry.payload with
-            | Telemetry.Phase_start _ -> true
-            | _ -> false)
-      and finishes =
-        count (fun e ->
-            match e.Telemetry.payload with
-            | Telemetry.Phase_finish _ -> true
-            | _ -> false)
-      in
-      Alcotest.(check int) (ctx "every phase closes") starts finishes;
-      Alcotest.(check bool) (ctx "phases recorded") true (starts >= 1);
-      (* Every rendered line is one complete JSON object carrying the
-         envelope fields plus a type tag. *)
-      List.iter
-        (fun e ->
-          let line = Telemetry.progress_to_json e in
-          match Manifest.json_of_string line with
-          | Error m ->
-              Alcotest.fail
-                (ctx (Printf.sprintf "unparseable line %S: %s" line m))
-          | Ok (Manifest.Jobj fields) ->
-              List.iter
-                (fun k ->
-                  Alcotest.(check bool)
-                    (ctx (Printf.sprintf "field %S present" k))
-                    true
-                    (List.mem_assoc k fields))
-                [ "seq"; "t"; "dom"; "type" ]
-          | Ok _ ->
-              Alcotest.fail
-                (ctx (Printf.sprintf "line is not an object: %S" line)))
-        events)
-    [ 1; 4 ]
-
-let test_symbolic_progress_events () =
-  let table =
-    Ftes_sched.Conditional.schedule
-      (Ftes_ftcpg.Ftcpg.build (Helpers.fig5_problem ()))
-  in
-  let events =
-    collect (fun () ->
-        ignore (Ftes_sim.Sim.validate ~jobs:1 ~mode:`Symbolic table))
-  in
-  Alcotest.(check bool) "symbolic validation-progress emitted" true
-    (List.exists (fun e -> validation_backend e = Some "symbolic") events)
-
-let test_corpus_outcome_events () =
-  let instances =
-    match Ftes_corpus.Registry.all () with
-    | a :: b :: c :: _ -> [ a; b; c ]
-    | l -> l
-  in
-  let events =
-    collect (fun () -> ignore (Ftes_corpus.Runner.run ~jobs:2 instances))
-  in
-  let outcomes =
-    List.filter_map
-      (fun (e : Telemetry.progress) ->
-        match e.Telemetry.payload with
-        | Telemetry.Corpus_outcome { id; _ } -> Some id
-        | _ -> None)
-      events
-  in
-  Alcotest.(check (list string))
-    "one corpus-outcome per instance, in input order"
-    (List.map (fun i -> i.Ftes_corpus.Instance.id) instances)
-    outcomes
-
-(* ------------------------------------------------------------------ *)
-(* Bounded rings: overflow drops and counts, never blocks or crashes    *)
-(* ------------------------------------------------------------------ *)
-
-(* A pool worker never drains, so a worker that emits more than its
-   ring holds during one fan-out must drop. Every emission is either
-   delivered or counted, the ring fills exactly (the worker's own
-   [par.worker] span included, its end slot reserved up front), and the
-   next drain frees it. *)
-let test_bounded_ring_drops () =
-  let emitted = Telemetry.ring_capacity + 100 in
-  let seen = ref 0 in
-  recording (fun () ->
-      let id = Telemetry.add_sink (fun _ -> incr seen) in
-      Fun.protect
-        ~finally:(fun () -> Telemetry.remove_sink id)
-        (fun () ->
-          (* Two tasks, so the batch really goes to the pool; only the
-             first one emits. *)
-          let dom =
-            Par.map_live ~jobs:2 ~poll:ignore
-              (fun flood ->
-                if flood then
-                  for i = 1 to emitted do
-                    Telemetry.emit
-                      (Telemetry.Phase_start { phase = string_of_int i })
-                  done;
-                (Domain.self () :> int))
-              [ true; false ]
-            |> List.hd
-          in
-          let dropped = Telemetry.dropped () in
-          Alcotest.(check bool) "overflow counted, not blocked" true
-            (dropped > 0);
-          let worker_spans =
-            List.length (List.assoc dom (Telemetry.dump ()))
-          in
-          Alcotest.(check int) "worker span balanced" 2 worker_spans;
-          Alcotest.(check int) "every emission delivered or counted" emitted
-            (!seen + dropped);
-          Alcotest.(check int) "exactly the ring delivered"
-            Telemetry.ring_capacity (!seen + worker_spans);
-          (* The drain freed the ring: emission resumes without drops. *)
-          let before = !seen in
-          Telemetry.emit (Telemetry.Phase_start { phase = "after" });
-          Telemetry.drain ();
-          Alcotest.(check int) "post-drain record delivered" (before + 1)
-            !seen;
-          Alcotest.(check int) "dropped unchanged" dropped
-            (Telemetry.dropped ());
-          Telemetry.reset ();
-          Alcotest.(check int) "reset zeroes the counter" 0
-            (Telemetry.dropped ())))
-
-let test_disabled_is_silent () =
-  Telemetry.reset ();
-  Telemetry.disable ();
-  let seen = ref 0 in
-  let id = Telemetry.add_sink (fun _ -> incr seen) in
-  Fun.protect
-    ~finally:(fun () -> Telemetry.remove_sink id)
-    (fun () ->
-      Telemetry.emit (Telemetry.Phase_start { phase = "ghost" });
-      let v = Telemetry.with_phase "ghost" (fun () -> 41 + 1) in
-      Alcotest.(check int) "with_phase returns the thunk's value" 42 v;
-      Telemetry.drain ();
-      Alcotest.(check int) "nothing delivered" 0 !seen)
-
-let test_with_phase_exception () =
-  let events =
-    collect (fun () ->
-        match Telemetry.with_phase "doomed" (fun () -> failwith "expected") with
-        | () -> Alcotest.fail "exception swallowed"
-        | exception Failure m ->
-            Alcotest.(check string) "exception re-raised" "expected" m)
-  in
-  let finishes =
-    List.filter_map
-      (fun (e : Telemetry.progress) ->
-        match e.Telemetry.payload with
-        | Telemetry.Phase_finish { phase; _ } -> Some phase
-        | _ -> None)
-      events
-  in
-  Alcotest.(check (list string)) "finish record delivered" [ "doomed" ]
-    finishes
 
 (* ------------------------------------------------------------------ *)
 (* Counter totals: telemetry agrees with the legacy accounting          *)
@@ -706,24 +482,6 @@ let () =
             test_disabled_records_nothing;
           Alcotest.test_case "pool-worker spans reach the log via live poll"
             `Quick test_worker_spans_live_poll;
-        ] );
-      ( "stream",
-        [
-          Alcotest.test_case "synthesize + validate NDJSON (jobs 1, 4)"
-            `Quick test_ndjson_well_formed;
-          Alcotest.test_case "symbolic validation emits progress" `Quick
-            test_symbolic_progress_events;
-          Alcotest.test_case "corpus runner emits one outcome per instance"
-            `Quick test_corpus_outcome_events;
-        ] );
-      ( "bounded buffers",
-        [
-          Alcotest.test_case "full ring drops and counts" `Quick
-            test_bounded_ring_drops;
-          Alcotest.test_case "disabled emits nothing" `Quick
-            test_disabled_is_silent;
-          Alcotest.test_case "exception closes phase" `Quick
-            test_with_phase_exception;
         ] );
       ( "counters",
         [
