@@ -706,7 +706,7 @@ let run_events_bench () =
 let run_portfolio_bench () =
   section
     "Portfolio - parallel strategy race vs sequential replay\n\
-     (the same member list — MXR/MX/SFX/MR + the diagnostics-driven LNS\n\
+     (the same member list — MXR/MX/SFX/MR + the estimator-targeted LNS\n\
      engine, diversified over seeds/tenures/neighborhoods — run once\n\
      sequentially and once racing on the domain pool with a shared\n\
      Evalcache; deterministic mode, so the lengths must agree and the\n\

@@ -312,7 +312,7 @@ let synthesize_cmd =
   let portfolio =
     Arg.(value & flag & info [ "portfolio" ]
            ~doc:"Race the whole strategy portfolio (MXR, MX, SFX, MR and \
-                 the diagnostics-driven LNS engine, diversified over \
+                 the estimator-targeted LNS engine, diversified over \
                  seeds/tenures/neighborhoods) concurrently on the domain \
                  pool with a shared evaluation cache, and keep the best \
                  design. Overrides --strategy; combine with --progress \

@@ -61,9 +61,17 @@ let tokenize line =
   |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun s -> s <> "")
 
+(* Far above any realistic time, size or overhead (integers stay exact
+   below 2^53), and far enough below [max_float] that sums over a whole
+   schedule never overflow to infinity. *)
+let max_magnitude = 1e15
+
 let float_of ln s =
   match float_of_string_opt s with
-  | Some f when Float.is_finite f -> f
+  | Some f when Float.is_finite f ->
+      if Float.abs f > max_magnitude then
+        fail ln "number %S exceeds the magnitude bound %g" s max_magnitude;
+      f
   | Some _ | None -> fail ln "expected a finite number, got %S" s
 
 let int_of ln s =

@@ -28,9 +28,10 @@
     v}
 
     Every [process] must have a [wcet] row with one entry per node ([X]
-    marks a mapping restriction). Order of sections is free, except that
-    [message] and [wcet] lines must follow the [process] lines they
-    reference. *)
+    marks a mapping restriction). Every number must be finite and at
+    most 1e15 in magnitude, so that no schedule arithmetic overflows.
+    Order of sections is free, except that [message] and [wcet] lines
+    must follow the [process] lines they reference. *)
 
 type t = {
   app : Ftes_app.App.t;

@@ -153,7 +153,6 @@ let run ?(opts = default_options) ?members (i : Strategy.inputs) =
       | Lns { restarts; destroy } ->
           Lns.optimize
             {
-              Lns.default_options with
               Lns.seed = m.seed;
               restarts;
               destroy;

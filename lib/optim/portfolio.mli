@@ -3,7 +3,7 @@
     incumbent, return an anytime result (ROADMAP item 3).
 
     A {e member} is one configuration — an engine (a Fig. 7/8 strategy
-    or the diagnostics-driven {!Lns} restart engine) plus its seed,
+    or the estimator-targeted {!Lns} restart engine) plus its seed,
     tabu tenure and neighborhood sample size. {!run} computes the
     fault-free baseline once, launches every member concurrently via
     [Ftes_util.Par.map_live] (the calling domain pumps the live event

@@ -55,9 +55,6 @@ let nft_length ?(opts = Tabu.default_options) (i : inputs) =
 let run ?(opts = Tabu.default_options) ?nft (i : inputs) name =
   Telemetry.with_phase ~cat:"optim" ("strategy." ^ name_to_string name)
   @@ fun () ->
-  let nft =
-    match nft with Some v -> v | None -> nft_length ~opts i
-  in
   let cache = opts.Tabu.cache in
   let slack_length p =
     match cache with
@@ -69,7 +66,9 @@ let run ?(opts = Tabu.default_options) ?nft (i : inputs) name =
     {
       name;
       length;
-      fto = Ftes_sched.Slack.fto ~ft_length:length ~nft_length:nft;
+      fto =
+        Option.fold nft ~none:Float.nan ~some:(fun nft_length ->
+            Ftes_sched.Slack.fto ~ft_length:length ~nft_length);
       problem;
     }
   in

@@ -28,7 +28,9 @@ type name = MXR | MX | MR | SFX | MC_local | MC_global
 type outcome = {
   name : name;
   length : float;  (** Estimated worst-case schedule length. *)
-  fto : float;  (** Percentage overhead vs. the fault-free baseline. *)
+  fto : float;
+      (** Percentage overhead vs. the fault-free baseline; [nan] when
+          [run] was given no baseline. *)
   problem : Ftes_ftcpg.Problem.t;  (** The optimized configuration. *)
 }
 
@@ -45,14 +47,16 @@ val nft_length : ?opts:Tabu.options -> inputs -> float
 
 val run :
   ?opts:Tabu.options -> ?nft:float -> inputs -> name -> outcome
-(** Run one strategy. [nft] (the fault-free baseline length) is computed
-    on demand when not supplied — pass it when evaluating several
-    strategies on the same instance. When [opts.cache] is set, every
-    design evaluation of the strategy — tabu candidates, descent sweeps,
-    checkpoint optimization, the final selection — goes through the
-    shared [Evalcache]; MXR in particular re-visits the same assignments
-    across its phases, so the cache pays off most there. The outcome is
-    identical with the cache on or off. *)
+(** Run one strategy. [nft] is the fault-free baseline length
+    ([nft_length]); it only feeds [outcome.fto] and is never computed
+    implicitly — without it the search is the same and [fto] is [nan].
+    Compute it once per instance when reporting overheads. When
+    [opts.cache] is set, every design evaluation of the strategy — tabu
+    candidates, descent sweeps, checkpoint optimization, the final
+    selection — goes through the shared [Evalcache]; MXR in particular
+    re-visits the same assignments across its phases, so the cache pays
+    off most there. The outcome is identical with the cache on or
+    off. *)
 
 val all_names : name list
 val name_to_string : name -> string

@@ -8,8 +8,20 @@ let approx ?(eps = 1e-6) () = Alcotest.float eps
 let check_float ?eps msg expected actual =
   Alcotest.check (approx ?eps ()) msg expected actual
 
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+let qtest ?(count = 200) ?rand name gen prop =
+  QCheck_alcotest.to_alcotest ?rand (QCheck.Test.make ~count ~name gen prop)
+
+(* The whole configuration, printable: policy and copy placement of
+   every process. *)
+let config_string (p : Problem.t) =
+  let g = Problem.graph p in
+  String.concat ";"
+    (List.init (Ftes_app.Graph.process_count g) (fun pid ->
+         Printf.sprintf "%d=%s@[%s]" pid
+           (Format.asprintf "%a" Policy.pp p.Problem.policies.(pid))
+           (String.concat ","
+              (List.map string_of_int
+                 (Ftes_ftcpg.Mapping.copies p.Problem.mapping ~pid)))))
 
 (* The paper's Fig. 5 instance (4 processes, k = 2, frozen P3/m2/m3). *)
 let fig5_problem () =

@@ -99,6 +99,20 @@ let test_negative_wcet () =
   check_bad_input ~what:"negative wcet" ~line:(Some line) ~mentions:"wcet"
     text
 
+(* A finite number so large that schedule arithmetic would overflow to
+   infinity is rejected on its line, like a non-finite one. *)
+let test_huge_number () =
+  let text = small () in
+  let is_bus = starts_with "bus " in
+  let line = line_where is_bus text in
+  let text =
+    String.concat "\n"
+      (List.map
+         (fun l -> if is_bus l then "bus tdma slot 1e308 bandwidth 1" else l)
+         (String.split_on_char '\n' text))
+  in
+  check_bad_input ~what:"huge number" ~line:(Some line) ~mentions:"1e308" text
+
 let test_truncated_file () =
   let text = small () in
   check_bad_input ~what:"truncated file" ~line:None ~mentions:""
@@ -146,6 +160,7 @@ let () =
         [
           Alcotest.test_case "unknown directive" `Quick test_unknown_directive;
           Alcotest.test_case "negative wcet" `Quick test_negative_wcet;
+          Alcotest.test_case "huge number" `Quick test_huge_number;
           Alcotest.test_case "truncated file" `Quick test_truncated_file;
         ] );
       ( "validate without tables",

@@ -5,6 +5,7 @@ module Dsl = Ftes_dsl.Dsl
 module Gen = Ftes_workload.Gen
 module Graph = Ftes_app.Graph
 module App = Ftes_app.App
+module Synthesis = Ftes_core.Synthesis
 
 let sample =
   {|
@@ -94,6 +95,11 @@ let test_parse_errors () =
     (parse_error_line "nodes 1\nprocess A\n\nwcet A -5\n");
   Alcotest.(check (option int)) "non-finite number" (Some 2)
     (parse_error_line "nodes 1\nprocess A alpha nan\nwcet A 1\n");
+  Alcotest.(check (option int)) "huge finite number on its line" (Some 2)
+    (parse_error_line
+       "nodes 1\nbus tdma slot 1e308 bandwidth 1\nprocess A\nwcet A 1\n");
+  Alcotest.(check (option int)) "magnitude bound is inclusive" None
+    (parse_error_line "nodes 1\nprocess A\nwcet A 1e15\n");
   Alcotest.(check (option int)) "negative k" (Some 1)
     (parse_error_line "k -1\nnodes 1\nprocess A\nwcet A 1\n");
   Alcotest.(check (option int)) "model constraint (deadline > period)"
@@ -159,6 +165,104 @@ let dsl_props =
         s1 = s2);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Mutation fuzzing: damaged documents are rejected or synthesized     *)
+(* ------------------------------------------------------------------ *)
+
+type mutation =
+  | Truncate of int  (* keep this fraction of the text, in percent *)
+  | Drop_line of int
+  | Dup_line of int
+  | Replace_number of int * string
+
+let mutation_to_string = function
+  | Truncate pct -> Printf.sprintf "truncate to %d%%" pct
+  | Drop_line i -> Printf.sprintf "drop line %d" i
+  | Dup_line i -> Printf.sprintf "duplicate line %d" i
+  | Replace_number (i, v) -> Printf.sprintf "number %d := %s" i v
+
+let is_number tok = Option.is_some (float_of_string_opt tok)
+
+(* Positions are taken modulo what the document has, so every mutation
+   applies to every document (each has at least its [k] number). *)
+let mutate text m =
+  let lines = String.split_on_char '\n' text in
+  let nth i = i mod List.length lines in
+  let join = String.concat "\n" in
+  match m with
+  | Truncate pct -> String.sub text 0 (String.length text * pct / 100)
+  | Drop_line i -> join (List.filteri (fun j _ -> j <> nth i) lines)
+  | Dup_line i ->
+      join
+        (List.concat
+           (List.mapi (fun j l -> if j = nth i then [ l; l ] else [ l ]) lines))
+  | Replace_number (i, v) ->
+      let words = List.map (String.split_on_char ' ') lines in
+      let target =
+        i mod List.length (List.filter is_number (List.concat words))
+      in
+      let seen = ref (-1) in
+      let swap tok =
+        if is_number tok then incr seen;
+        if is_number tok && !seen = target then v else tok
+      in
+      join (List.map (fun ws -> String.concat " " (List.map swap ws)) words)
+
+let mutation_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, map (fun pct -> Truncate pct) (int_bound 99));
+        (1, map (fun i -> Drop_line i) nat);
+        (1, map (fun i -> Dup_line i) nat);
+        ( 4,
+          map2
+            (fun i v -> Replace_number (i, v))
+            nat
+            (oneofl [ "-1"; "nan"; "inf"; "1e308" ]) );
+      ])
+
+let fuzz_options =
+  {
+    Synthesis.default_options with
+    tabu =
+      { Ftes_optim.Tabu.default_options with iterations = 8; sample = 4;
+        jobs = 1 };
+  }
+
+(* Whatever the damage, the parser either accepts the document or
+   reports it; an accepted one synthesizes and validates without
+   raising. *)
+let mutation_fuzz =
+  let arb =
+    QCheck.make
+      ~print:(fun ((seed, n, nodes, k), m) ->
+        Printf.sprintf "seed=%d n=%d nodes=%d k=%d, %s" seed n nodes k
+          (mutation_to_string m))
+      QCheck.Gen.(
+        pair
+          (quad (int_bound 10_000) (int_range 1 8) (int_range 1 3)
+             (int_bound 2))
+          mutation_gen)
+  in
+  Helpers.qtest ~count:1000 ~rand:(Random.State.make [| 2008 |])
+    "mutated instances are rejected or synthesized" arb
+    (fun ((seed, processes, nodes, k), m) ->
+      let app, arch, wcet =
+        Gen.instance
+          { Gen.default with processes; nodes; seed; frozen_proc_prob = 0.2 }
+      in
+      let text = mutate (Dsl.to_string { Dsl.app; arch; wcet; k }) m in
+      match Dsl.of_string text with
+      | exception Dsl.Parse_error _ -> true
+      | d ->
+          let s =
+            Synthesis.synthesize ~options:fuzz_options ~app:d.Dsl.app
+              ~arch:d.Dsl.arch ~wcet:d.Dsl.wcet ~k:d.Dsl.k ()
+          in
+          ignore (Synthesis.validate ~jobs:1 s);
+          true)
+
 let test_load_save () =
   let d = Dsl.of_string sample in
   let path = Filename.temp_file "ftes_test" ".ftes" in
@@ -182,4 +286,5 @@ let () =
           Alcotest.test_case "load/save" `Quick test_load_save;
         ]
         @ dsl_props );
+      ("mutation fuzz", [ mutation_fuzz ]);
     ]

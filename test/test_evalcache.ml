@@ -13,18 +13,6 @@ module Graph = Ftes_app.Graph
 module Policy = Ftes_app.Policy
 module Slack = Ftes_sched.Slack
 
-(* Full design configuration as a comparable string (same idiom as
-   test_par.ml): policy and mapping of every process. *)
-let config_string (p : Problem.t) =
-  let g = Problem.graph p in
-  String.concat ";"
-    (List.init (Graph.process_count g) (fun pid ->
-         Printf.sprintf "%d=%s@[%s]" pid
-           (Format.asprintf "%a" Ftes_app.Policy.pp p.Problem.policies.(pid))
-           (String.concat ","
-              (List.map string_of_int
-                 (Mapping.copies p.Problem.mapping ~pid)))))
-
 (* A distinct configuration in the SAME universe (shares the app / arch
    / wcet pointers, so it is cacheable alongside [p]). *)
 let variant p =
@@ -59,7 +47,7 @@ let test_tabu_cache_identical () =
       Helpers.check_float (Printf.sprintf "problem %d: same length" i) l0 l1;
       Alcotest.(check string)
         (Printf.sprintf "problem %d: same configuration" i)
-        (config_string b0) (config_string b1);
+        (Helpers.config_string b0) (Helpers.config_string b1);
       let s = Evalcache.stats cache in
       Alcotest.(check bool)
         (Printf.sprintf "problem %d: cache saw traffic" i)
@@ -77,7 +65,7 @@ let test_tabu_cache_jobs_matrix () =
       let run ~cache ~jobs =
         let cache = if cache then Some (Evalcache.create ()) else None in
         let b, l = Tabu.optimize { quick_opts with cache; jobs } p in
-        (l, config_string b)
+        (l, Helpers.config_string b)
       in
       let reference = run ~cache:false ~jobs:1 in
       List.iter
@@ -99,12 +87,12 @@ let test_descent_cache_identical () =
   in
   let cache = Evalcache.create () in
   Alcotest.(check string) "policy_sweep"
-    (config_string (Descent.policy_sweep p))
-    (config_string (Descent.policy_sweep ~cache p));
+    (Helpers.config_string (Descent.policy_sweep p))
+    (Helpers.config_string (Descent.policy_sweep ~cache p));
   let cache = Evalcache.create () in
   Alcotest.(check string) "remap_sweep"
-    (config_string (Descent.remap_sweep p))
-    (config_string (Descent.remap_sweep ~cache p))
+    (Helpers.config_string (Descent.remap_sweep p))
+    (Helpers.config_string (Descent.remap_sweep ~cache p))
 
 let test_strategy_cache_identical () =
   let spec =
@@ -112,20 +100,22 @@ let test_strategy_cache_identical () =
   in
   let app, arch, wcet = Ftes_workload.Gen.instance spec in
   let inputs = { Strategy.app; arch; wcet; k = 2 } in
+  let nft = Strategy.nft_length ~opts:quick_opts inputs in
   List.iter
     (fun name ->
-      let o0 = Strategy.run ~opts:quick_opts inputs name in
+      let o0 = Strategy.run ~opts:quick_opts ~nft inputs name in
       let cache = Evalcache.create () in
       let o1 =
-        Strategy.run ~opts:{ quick_opts with cache = Some cache } inputs name
+        Strategy.run ~opts:{ quick_opts with cache = Some cache } ~nft inputs
+          name
       in
       let label = Strategy.name_to_string name in
       Helpers.check_float (label ^ ": length") o0.Strategy.length
         o1.Strategy.length;
       Helpers.check_float (label ^ ": fto") o0.Strategy.fto o1.Strategy.fto;
       Alcotest.(check string) (label ^ ": config")
-        (config_string o0.Strategy.problem)
-        (config_string o1.Strategy.problem);
+        (Helpers.config_string o0.Strategy.problem)
+        (Helpers.config_string o1.Strategy.problem);
       Alcotest.(check bool) (label ^ ": cache saw traffic") true
         ((Evalcache.stats cache).Evalcache.lookups > 0))
     [ Strategy.MXR; Strategy.MC_global ]

@@ -287,6 +287,25 @@ let test_strategies_basic () =
         o.Strategy.problem.Problem.policies)
     Strategy.all_names
 
+(* The baseline only feeds the overhead: without it the search and its
+   result are the same and fto is nan. *)
+let test_run_without_nft () =
+  let inputs = small_inputs ~seed:21 in
+  let nft = Strategy.nft_length inputs in
+  List.iter
+    (fun name ->
+      let label = Strategy.name_to_string name in
+      let with_nft = Strategy.run ~nft inputs name in
+      let without = Strategy.run inputs name in
+      Alcotest.(check string) (label ^ ": same design")
+        (Helpers.config_string with_nft.Strategy.problem)
+        (Helpers.config_string without.Strategy.problem);
+      Alcotest.(check bool) (label ^ ": same length") true
+        (with_nft.Strategy.length = without.Strategy.length);
+      Alcotest.(check bool) (label ^ ": fto is nan") true
+        (Float.is_nan without.Strategy.fto))
+    [ Strategy.MXR; Strategy.SFX; Strategy.MC_global ]
+
 let test_mxr_never_worse_than_mx () =
   List.iter
     (fun seed ->
@@ -346,6 +365,7 @@ let () =
       ( "strategies",
         [
           Alcotest.test_case "all strategies basic" `Slow test_strategies_basic;
+          Alcotest.test_case "run without nft" `Quick test_run_without_nft;
           Alcotest.test_case "MXR <= MX" `Slow test_mxr_never_worse_than_mx;
           Alcotest.test_case "MC global <= local" `Slow
             test_mc_global_never_worse_than_local;

@@ -6,10 +6,7 @@
 module Par = Ftes_util.Par
 module Sim = Ftes_sim.Sim
 module Tabu = Ftes_optim.Tabu
-module Problem = Ftes_ftcpg.Problem
-module Mapping = Ftes_ftcpg.Mapping
 module Ftcpg = Ftes_ftcpg.Ftcpg
-module Graph = Ftes_app.Graph
 module Conditional = Ftes_sched.Conditional
 
 (* ------------------------------------------------------------------ *)
@@ -98,18 +95,6 @@ let test_validate_jobs_identical () =
         (Sim.validate_messages ~jobs:1 t) (Sim.validate_messages ~jobs:4 t))
     [ 1; 2; 3; 4; 5 ]
 
-(* The whole configuration, printable: policy and copy placement of
-   every process. *)
-let config_string (p : Problem.t) =
-  let g = Problem.graph p in
-  String.concat ";"
-    (List.init (Graph.process_count g) (fun pid ->
-         Printf.sprintf "%d=%s@[%s]" pid
-           (Format.asprintf "%a" Ftes_app.Policy.pp p.Problem.policies.(pid))
-           (String.concat ","
-              (List.map string_of_int
-                 (Mapping.copies p.Problem.mapping ~pid)))))
-
 let test_tabu_jobs_identical () =
   List.iter
     (fun seed ->
@@ -125,7 +110,7 @@ let test_tabu_jobs_identical () =
       Helpers.check_float (Printf.sprintf "seed %d: same length" seed) l1 l4;
       Alcotest.(check string)
         (Printf.sprintf "seed %d: same mapping and policies" seed)
-        (config_string b1) (config_string b4))
+        (Helpers.config_string b1) (Helpers.config_string b4))
     [ 1; 2; 3; 4; 5 ]
 
 let () =

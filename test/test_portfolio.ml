@@ -1,7 +1,7 @@
 (* Tests for the parallel strategy portfolio: deterministic-mode
    jobs-invariance, anytime-curve monotonicity, the compute-nft-once
    contract (pinned by cache lookup counts), the LNS engine and its
-   diagnostics-driven targeting, deadline mode, the live race events and
+   estimator-driven targeting, deadline mode, the live race events and
    the Synthesis.portfolio option. *)
 
 module Portfolio = Ftes_optim.Portfolio
@@ -10,9 +10,7 @@ module Lns = Ftes_optim.Lns
 module Tabu = Ftes_optim.Tabu
 module Strategy = Ftes_optim.Strategy
 module Evalcache = Ftes_optim.Evalcache
-module Problem = Ftes_ftcpg.Problem
 module Slack = Ftes_sched.Slack
-module Graph = Ftes_app.Graph
 module Gen = Ftes_workload.Gen
 module Telemetry = Ftes_util.Telemetry
 
@@ -152,7 +150,7 @@ let test_nft_computed_once () =
   Helpers.check_float "nft matches the manual baseline" nft r.Portfolio.nft
 
 (* ------------------------------------------------------------------ *)
-(* The LNS engine and its diagnostics-driven targeting                 *)
+(* The LNS engine and its estimator-driven targeting                  *)
 (* ------------------------------------------------------------------ *)
 
 let lns_opts =
@@ -180,61 +178,12 @@ let test_lns_improves_or_holds () =
   let _, len' = Lns.optimize lns_opts p in
   Alcotest.(check bool) "repeatable" true (len = len')
 
-(* Rebuild [app] with a local deadline on one process (the graph is
-   immutable; ids are dense and re-adding in order preserves them). *)
-let with_local_deadline app pid d =
-  let module App = Ftes_app.App in
-  let g = app.App.graph in
-  let b = Graph.Builder.create () in
-  Array.iter
-    (fun (pr : Graph.process) ->
-      ignore
-        (Graph.Builder.add_process b ~name:pr.Graph.pname
-           ~overheads:pr.Graph.overheads ~release:pr.Graph.release
-           ?local_deadline:
-             (if pr.Graph.pid = pid then Some d else pr.Graph.local_deadline)))
-    (Graph.processes g);
-  Array.iter
-    (fun (m : Graph.message) ->
-      ignore
-        (Graph.Builder.add_message b ~name:m.Graph.mname ~src:m.Graph.src
-           ~dst:m.Graph.dst ~size:m.Graph.size))
-    (Graph.messages g);
-  App.make ~transparency:app.App.transparency
-    ~graph:(Graph.Builder.build b) ~deadline:app.App.deadline
-    ~period:app.App.period ()
-
-let test_diagnostic_targets () =
+(* The estimator always has an opinion on where to strike. *)
+let test_slack_targets () =
   let p =
     Helpers.random_problem ~frozen:false ~mixed_policies:false ~processes:6
       ~nodes:2 ~k:2 ~seed:17 ()
   in
-  (* An unmeetable local deadline on a sink process: every scenario's
-     validation reports local-deadline-missed carrying that pid, so the
-     diagnosis must name it. *)
-  let sink = List.hd (Graph.sinks (Problem.graph p)) in
-  let bad =
-    Problem.make
-      ~app:(with_local_deadline p.Problem.app sink 1e-3)
-      ~arch:p.Problem.arch ~wcet:p.Problem.wcet ~k:p.Problem.k
-      ~policies:p.Problem.policies ~mapping:p.Problem.mapping
-  in
-  let targets = Lns.diagnostic_targets bad in
-  Alcotest.(check bool) "failing design yields targets" true (targets <> []);
-  Alcotest.(check bool) "the guilty process is named" true
-    (List.mem sink targets);
-  let nprocs = Graph.process_count (Problem.graph p) in
-  List.iter
-    (fun pid ->
-      Alcotest.(check bool)
-        (Printf.sprintf "pid %d in range" pid)
-        true
-        (pid >= 0 && pid < nprocs))
-    targets;
-  (* A clean design blames nobody through the diagnostics path. *)
-  Alcotest.(check (list int)) "clean design: no diagnostic targets" []
-    (Lns.diagnostic_targets p);
-  (* The estimator fallback always has an opinion. *)
   Alcotest.(check bool) "slack targets non-empty" true
     (Lns.slack_targets p <> [])
 
@@ -359,8 +308,7 @@ let () =
         [
           Alcotest.test_case "improves or holds, repeatable" `Slow
             test_lns_improves_or_holds;
-          Alcotest.test_case "diagnostic targets" `Quick
-            test_diagnostic_targets;
+          Alcotest.test_case "slack targets" `Quick test_slack_targets;
         ] );
       ( "anytime mode",
         [

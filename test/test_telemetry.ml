@@ -9,23 +9,8 @@
 module Telemetry = Ftes_util.Telemetry
 module Evalcache = Ftes_optim.Evalcache
 module Tabu = Ftes_optim.Tabu
-module Problem = Ftes_ftcpg.Problem
-module Mapping = Ftes_ftcpg.Mapping
-module Graph = Ftes_app.Graph
 module Synthesis = Ftes_core.Synthesis
 module Par = Ftes_util.Par
-
-(* Full design configuration as a comparable string (same idiom as
-   test_evalcache.ml). *)
-let config_string (p : Problem.t) =
-  let g = Problem.graph p in
-  String.concat ";"
-    (List.init (Graph.process_count g) (fun pid ->
-         Printf.sprintf "%d=%s@[%s]" pid
-           (Format.asprintf "%a" Ftes_app.Policy.pp p.Problem.policies.(pid))
-           (String.concat ","
-              (List.map string_of_int
-                 (Mapping.copies p.Problem.mapping ~pid)))))
 
 let quick_opts =
   { Tabu.default_options with iterations = 30; sample = 8; jobs = 2 }
@@ -52,7 +37,7 @@ let test_trajectory_identity () =
         if telemetry then Telemetry.enable () else Telemetry.disable ();
         Fun.protect ~finally:Telemetry.disable (fun () ->
             let b, l = Tabu.optimize { quick_opts with jobs } p in
-            (l, config_string b))
+            (l, Helpers.config_string b))
       in
       let ref_len, ref_cfg = run ~telemetry:false ~jobs:1 in
       List.iter
@@ -146,11 +131,21 @@ let test_span_well_formedness () =
             (Printf.sprintf "span %S recorded" expected)
             true (List.mem expected names))
         [
-          "synthesize"; "strategy.MXR"; "strategy.nft-baseline";
-          "tabu.optimize"; "tabu.iter"; "descent.policy_sweep";
-          "synthesize.tables"; "ftcpg.build"; "sched.conditional";
-          "synthesize.estimate"; "sim.validate";
-        ])
+          "synthesize"; "strategy.MXR"; "tabu.optimize"; "tabu.iter";
+          "descent.policy_sweep"; "synthesize.tables"; "ftcpg.build";
+          "sched.conditional"; "synthesize.estimate"; "sim.validate";
+        ];
+      (* Without compute_fto nothing reports an overhead, so no
+         fault-free search runs. *)
+      Alcotest.(check bool) "no nft baseline without compute_fto" false
+        (List.mem "strategy.nft-baseline" names);
+      Telemetry.reset ();
+      ignore
+        (Synthesis.synthesize
+           ~options:{ options with compute_fto = true; conditional = false }
+           ~app ~arch ~wcet ~k:2 ());
+      Alcotest.(check bool) "nft baseline with compute_fto" true
+        (List.mem "strategy.nft-baseline" (span_names (Telemetry.dump ()))))
 
 let test_exception_closes_span () =
   recording (fun () ->
